@@ -76,15 +76,12 @@ func (t *traceBuf) snapshot() []byte {
 
 // jobRuntime is the volatile half of one async job.
 type jobRuntime struct {
-	ctx      context.Context
-	cancel   context.CancelFunc
-	trace    *traceBuf     // non-nil iff submitted with ?trace=...
-	progress *obs.Progress // live-progress sink, attached to the job's tracer
-	// moveWorkers is the effective parallel-move-loop worker count the
-	// job runs with (0 = serial move loop), surfaced in job views.
-	moveWorkers int
-	traceLevel  prop.TraceLevel
-	submitted   time.Time
+	ctx        context.Context
+	cancel     context.CancelFunc
+	trace      *traceBuf     // non-nil iff submitted with ?trace=...
+	progress   *obs.Progress // live-progress sink, attached to the job's tracer
+	traceLevel prop.TraceLevel
+	submitted  time.Time
 	// onDone, when non-nil, is called with the final durable record once
 	// the job reaches a terminal state (the batch streaming hook).
 	onDone func(jobs.Job)
@@ -127,9 +124,6 @@ type jobView struct {
 	ID     string     `json:"id"`
 	Tenant string     `json:"tenant,omitempty"`
 	State  jobs.State `json:"state"`
-	// MoveWorkers is the effective parallel-move-loop worker count the job
-	// runs with (0 = serial move loop).
-	MoveWorkers int `json:"move_workers"`
 	// Requeued counts crash-recovery replays of this job.
 	Requeued int                   `json:"requeued,omitempty"`
 	Progress *obs.ProgressSnapshot `json:"progress,omitempty"`
@@ -141,12 +135,9 @@ type jobView struct {
 // while it runs, the raw result bytes once done.
 func (s *server) view(j jobs.Job) jobView {
 	v := jobView{ID: j.ID, Tenant: j.Tenant, State: j.State, Requeued: j.Requeued, Error: j.Error}
-	if rt := s.rt.get(j.ID); rt != nil {
-		v.MoveWorkers = rt.moveWorkers
-		if !j.State.Terminal() {
-			p := rt.progress.Snapshot()
-			v.Progress = &p
-		}
+	if rt := s.rt.get(j.ID); rt != nil && !j.State.Terminal() {
+		p := rt.progress.Snapshot()
+		v.Progress = &p
 	}
 	if len(j.Result) > 0 {
 		v.Result = json.RawMessage(j.Result)
@@ -178,13 +169,12 @@ func (s *server) submitPayload(tenant string, pl jobPayload, req *partitionReque
 func (s *server) startJob(j jobs.Job, req *partitionRequest, runID string, onDone func(jobs.Job)) {
 	ctx, cancel := context.WithCancel(obs.WithRunID(s.baseCtx, runID))
 	rt := &jobRuntime{
-		ctx:         ctx,
-		cancel:      cancel,
-		progress:    &obs.Progress{},
-		moveWorkers: req.opts.MoveWorkers,
-		traceLevel:  req.traceLevel,
-		submitted:   time.Now(),
-		onDone:      onDone,
+		ctx:        ctx,
+		cancel:     cancel,
+		progress:   &obs.Progress{},
+		traceLevel: req.traceLevel,
+		submitted:  time.Now(),
+		onDone:     onDone,
 	}
 	if req.traced {
 		rt.trace = &traceBuf{}
@@ -295,7 +285,7 @@ func (s *server) executeJob(id, tenant string) {
 	}
 	s.store.Transition(id, jobs.Running, jobs.Done, func(j *jobs.Job) { j.Result = result })
 	s.log.Info("job state", "job", id, "state", jobs.Done,
-		"algo", summary.Algorithm, "move_workers", rt.moveWorkers, "passes", summary.Passes,
+		"algo", summary.Algorithm, "passes", summary.Passes,
 		"cut_cost", summary.CutCost, "cut_nets", summary.CutNets,
 		"elapsed_ms", elapsedMS, "run_id", runID)
 	s.finishJob(id, tenant, rt)

@@ -117,8 +117,6 @@ type server struct {
 	mCutHist     *metrics.Histogram
 	mPassHist    *metrics.Histogram    // improvement passes per run
 	mCutImprove  *metrics.FloatGauge   // (worst-best)/worst ×100 of last portfolio
-	mRefineUtil  *metrics.FloatGauge   // refinement worker busy/wall ×100
-	mMoveWork    *metrics.Gauge        // effective move_workers of the last request
 	mPhaseHist   *metrics.HistogramVec // per-phase wall durations, labeled by phase name
 	mLatency     *metrics.Latency
 	mTenantOK    *metrics.CounterVec   // admissions per tenant
@@ -157,8 +155,6 @@ func newServer(cfg serverConfig, logger *slog.Logger) (*server, error) {
 		mCutHist:     reg.Histogram("cut_nets", 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000),
 		mPassHist:    reg.Histogram("passes_per_run", 1, 2, 3, 4, 5, 6, 8, 10, 15, 20),
 		mCutImprove:  reg.FloatGauge("cut_improvement_pct"),
-		mRefineUtil:  reg.FloatGauge("refine_worker_utilization_pct"),
-		mMoveWork:    reg.Gauge("move_workers"),
 		mPhaseHist:   reg.HistogramVec("phase_duration_ms", "phase", 1, 5, 10, 25, 50, 100, 250, 500, 1000, 5000),
 		mLatency:     reg.Latency("partition_latency", 1024),
 		mTenantOK:    reg.CounterVec("tenant_admitted_total", "tenant"),
@@ -374,8 +370,8 @@ type partitionResponse struct {
 	PartWeights []int64 `json:"part_weights,omitempty"`
 }
 
-// decodeQuery parses the shared query knobs (algo, runs, seed, k, r1,
-// r2, par, move_workers, timeout_ms, trace) of an HTTP request.
+// decodeQuery parses the shared query knobs (algo, runs, seed, k, la,
+// r1, r2, par, mode, timeout_ms, trace) of an HTTP request.
 func (s *server) decodeQuery(r *http.Request) (*partitionRequest, error) {
 	return s.decodeQueryValues(r.URL.Query())
 }
@@ -443,18 +439,6 @@ func (s *server) decodeQueryValues(q map[string][]string) (*partitionRequest, er
 	if par > 0 && par < req.opts.Parallel {
 		req.opts.Parallel = par
 	}
-	// move_workers selects the synchronous-round parallel move loop inside
-	// each run; unlike par it changes which (bit-identical across positive
-	// values) trajectory runs, so zero is not a valid explicit choice —
-	// omit the parameter for the serial loop.
-	if v := get("move_workers"); v != "" && err == nil {
-		n, e := strconv.Atoi(v)
-		if e != nil || n <= 0 {
-			err = fmt.Errorf("bad move_workers %q: want a positive integer", v)
-		} else {
-			req.opts.MoveWorkers = n
-		}
-	}
 	// mode selects the ml-prop hierarchy style; it changes which hierarchy
 	// (and therefore which result) runs, so it participates in the result
 	// cache fingerprint via Options.ML.
@@ -496,7 +480,6 @@ func (s *server) decodeQueryValues(q map[string][]string) (*partitionRequest, er
 	if req.opts.Runs < 1 || req.opts.Runs > 10000 {
 		return nil, fmt.Errorf("bad runs %d: want 1..10000", req.opts.Runs)
 	}
-	s.mMoveWork.Set(int64(req.opts.MoveWorkers))
 	return req, nil
 }
 
@@ -550,9 +533,6 @@ func (s *server) run(ctx context.Context, req *partitionRequest, runID string, t
 		s.mRuns.Inc()
 		if u.Passes > 0 {
 			s.mPassHist.Observe(float64(u.Passes))
-		}
-		if u.RefineUtilization > 0 {
-			s.mRefineUtil.Set(u.RefineUtilization * 100)
 		}
 		statMu.Lock()
 		if seen == 0 || u.CutCost < bestCut {

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -883,75 +884,102 @@ func TestTimeoutReturns504(t *testing.T) {
 	}
 }
 
-// TestPartitionMoveWorkers covers the ?move_workers= plumbing: the sync
-// endpoint must reproduce the library result bit-identically at any worker
-// count (the parallel loop's invariance contract), non-positive or
-// malformed values are 400s, and an async job reports its effective value.
-func TestPartitionMoveWorkers(t *testing.T) {
+// TestPartitionHugeLADepthIs422: a lookahead depth far past the deepest
+// exact LA key must be rejected before LA sizes its vector arena from the
+// overflowing n·K product. The request fails with 422 instead of panicking
+// inside a portfolio worker, and the server keeps serving.
+func TestPartitionHugeLADepthIs422(t *testing.T) {
 	ts := newTestServer(t)
+	resp := postHGR(t, ts.URL+"/v1/partition?algo=la&la=4611686018427387904&runs=4", testNetlistHGR(t))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("status %d, want 422", resp.StatusCode)
+	}
+	hr, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the rejected request: status %d, want 200", hr.StatusCode)
+	}
+}
+
+// TestLegacyJournalAndQueryCompat: journals and clients from before the
+// per-run move-worker knob was removed keep working. A journaled pending
+// job whose query still carries that parameter replays to the plain PROP
+// result, and a live request carrying it is answered as if it were absent
+// — same cut, same sides, same result-cache entry.
+func TestLegacyJournalAndQueryCompat(t *testing.T) {
+	const legacyQuery = "algo=prop&runs=2&seed=3&move_workers=4"
 	hgr := testNetlistHGR(t)
-
-	n, err := prop.Generate(prop.GenParams{Nodes: 120, Nets: 140, Pins: 480, Seed: 7})
+	n, err := prop.ReadHGR(strings.NewReader(hgr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := prop.Partition(n, prop.Options{Algorithm: prop.AlgoPROP, Runs: 2, Seed: 3, MoveWorkers: 1})
+	want, err := prop.Partition(n, prop.Options{Algorithm: prop.AlgoPROP, Runs: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 4} {
-		resp := postHGR(t, fmt.Sprintf("%s/v1/partition?algo=prop&runs=2&seed=3&move_workers=%d", ts.URL, w), hgr)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("move_workers=%d: status %d", w, resp.StatusCode)
+	checkSides := func(what string, cut float64, sides []int) {
+		t.Helper()
+		if cut != want.CutCost || len(sides) != len(want.Sides) {
+			t.Fatalf("%s: cut %g over %d sides, want %g over %d", what, cut, len(sides), want.CutCost, len(want.Sides))
 		}
-		pr := decodeBody[partitionResponse](t, resp)
-		if pr.CutCost != want.CutCost {
-			t.Errorf("move_workers=%d: cut %g, want %g", w, pr.CutCost, want.CutCost)
-		}
-		for i, s := range want.Sides {
-			if pr.Sides[i] != int(s) {
-				t.Fatalf("move_workers=%d: side[%d] = %d, want %d", w, i, pr.Sides[i], s)
+		for u, s := range want.Sides {
+			if sides[u] != int(s) {
+				t.Fatalf("%s: side[%d] = %d, want %d", what, u, sides[u], s)
 			}
 		}
 	}
 
-	for _, bad := range []string{"0", "-2", "abc"} {
-		resp := postHGR(t, ts.URL+"/v1/partition?move_workers="+bad, hgr)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("move_workers=%s: status %d, want 400", bad, resp.StatusCode)
-		}
+	dir := filepath.Join(t.TempDir(), "journal")
+	store, _, err := jobs.Open(jobs.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(jobPayload{
+		Kind: kindPartition, Query: legacyQuery,
+		ContentType: "text/plain", Body: []byte(hgr),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending, err := store.Submit(defaultTenant, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	resp := postHGR(t, ts.URL+"/v1/jobs?algo=prop&runs=2&seed=3&move_workers=4", hgr)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d", resp.StatusCode)
+	ts, _ := newTestServerConfig(t, serverConfig{journalDir: dir})
+	j := waitJobDone(t, ts.URL, pending.ID)
+	if j.State != jobs.Done {
+		t.Fatalf("replayed job state %q, error %q", j.State, j.Error)
 	}
-	id := decodeBody[map[string]string](t, resp)["id"]
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("job did not finish")
-		}
-		r, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j := decodeBody[jobView](t, r)
-		if j.MoveWorkers != 4 {
-			t.Fatalf("job move_workers = %d, want 4", j.MoveWorkers)
-		}
-		if j.State == jobs.Done || j.State == jobs.Failed {
-			if j.State != jobs.Done {
-				t.Fatalf("job state %q, error %q", j.State, j.Error)
-			}
-			if res := jobResult(t, j); res == nil || res.CutCost != want.CutCost {
-				t.Fatalf("job result = %+v, want cut %g", res, want.CutCost)
-			}
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	res := jobResult(t, j)
+	if res == nil {
+		t.Fatal("replayed job has no result")
 	}
+	checkSides("replayed job", res.CutCost, res.Sides)
+
+	resp := postHGR(t, ts.URL+"/v1/partition?"+legacyQuery, hgr)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("live legacy request: status %d", resp.StatusCode)
+	}
+	pr := decodeBody[partitionResponse](t, resp)
+	checkSides("live legacy request", pr.CutCost, pr.Sides)
+
+	resp = postHGR(t, ts.URL+"/v1/partition?algo=prop&runs=2&seed=3", hgr)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("live request without the legacy parameter: status %d", resp.StatusCode)
+	}
+	if got := resp.Header.Get("X-Cache"); got != "hit" {
+		t.Errorf("request without the legacy parameter: X-Cache %q, want hit", got)
+	}
+	pr = decodeBody[partitionResponse](t, resp)
+	checkSides("live request without the legacy parameter", pr.CutCost, pr.Sides)
 }
 
 // TestJobProgressAdvances polls a long-running job and requires the live
@@ -1134,7 +1162,7 @@ func (w *syncWriter) String() string {
 }
 
 // TestJobCompletionLogAndSlowRun pins the enriched completion log line
-// (algo, move_workers, passes) and the -slow-run warning.
+// (algo, passes) and the -slow-run warning.
 func TestJobCompletionLogAndSlowRun(t *testing.T) {
 	var lw syncWriter
 	logger := slog.New(slog.NewTextHandler(&lw, nil))
@@ -1146,7 +1174,7 @@ func TestJobCompletionLogAndSlowRun(t *testing.T) {
 	t.Cleanup(func() { s.close(); ts.Close() })
 
 	hgr := testNetlistHGR(t)
-	resp := postHGR(t, ts.URL+"/v1/jobs?algo=prop&runs=2&seed=3&move_workers=2", hgr)
+	resp := postHGR(t, ts.URL+"/v1/jobs?algo=prop&runs=2&seed=3", hgr)
 	id := decodeBody[map[string]string](t, resp)["id"]
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -1171,7 +1199,7 @@ func TestJobCompletionLogAndSlowRun(t *testing.T) {
 	}
 	logs := lw.String()
 	for _, want := range []string{
-		"algo=prop", "move_workers=2", "passes=",
+		"algo=prop", "passes=",
 		"msg=\"slow run\"", "threshold_ms=",
 	} {
 		if !strings.Contains(logs, want) {

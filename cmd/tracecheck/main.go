@@ -44,12 +44,6 @@ var schema = map[string]map[string]string{
 		"nets": "number", "flow": "number", "cut_before": "number",
 		"cut_after": "number", "adopted": "number", "dur_us": "number",
 	},
-	"round": {
-		"ts_us": "number", "ev": "string", "run": "number",
-		"pass": "number", "round": "number", "proposed": "number",
-		"conflicted": "number", "applied": "number",
-		"busy_us": "number", "wall_us": "number",
-	},
 	"delta_apply": {
 		"ts_us": "number", "ev": "string", "run": "number",
 		"structural": "number", "nodes": "number", "nets": "number",
@@ -62,7 +56,7 @@ var schema = map[string]map[string]string{
 	"phase": {
 		"ts_us": "number", "ev": "string", "run": "number",
 		"name": "string", "depth": "number", "level": "number",
-		"wall_us": "number", "busy_us": "number",
+		"wall_us": "number",
 	},
 }
 

@@ -158,6 +158,9 @@ func TestRunHotpathPhaseWallMap(t *testing.T) {
 	if c.PROPTraced == nil || c.PROPTraced.BestCut != c.PROP.BestCut {
 		t.Errorf("traced series drifted: %+v vs %+v", c.PROPTraced, c.PROP)
 	}
+	if c.PROPPortfolioPar1 == nil || c.PROPPortfolioPar2 == nil || len(c.PROPPortfolioPar2.RunMillis) != 2 || c.PortfolioSpeedupX <= 0 {
+		t.Errorf("portfolio series = %+v / %+v, speedup %g", c.PROPPortfolioPar1, c.PROPPortfolioPar2, c.PortfolioSpeedupX)
+	}
 	// The traced runs were wrapped in a "prop" phase; its wall time sums
 	// over both runs and roughly tracks the traced series wall clock.
 	wall, ok := c.PhaseWallUS["prop"]

@@ -2,13 +2,16 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
 	"time"
 
 	"prop/internal/core"
+	"prop/internal/engine"
 	"prop/internal/fm"
 	"prop/internal/gen"
 	"prop/internal/obs"
@@ -17,8 +20,9 @@ import (
 )
 
 // The hot-path study times single-threaded PROP and FM runs per circuit —
-// the quantity the CSR + incremental-refinement work optimizes — and emits
-// a machine-readable report (scripts/bench.sh writes it to
+// the quantity the CSR + incremental-refinement work optimizes — plus a
+// small PROP portfolio at 1 and 2 engine workers, and emits a
+// machine-readable report (scripts/bench.sh writes it to
 // BENCH_hotpath.json) so perf regressions are diffable across commits.
 
 // HotpathSeries is the timing of one method on one circuit.
@@ -51,18 +55,20 @@ type HotpathCircuit struct {
 	// paths, summed over the traced series) aggregated from the traced
 	// runs' phase spans by internal/obs/report.
 	PhaseWallUS map[string]int64 `json:"phase_wall_us,omitempty"`
-	// PROPParLoop times PROP on the synchronous-round parallel move loop
-	// at parLoopWorkers workers, and ParLoopSpeedupX is the serial loop's
-	// mean wall clock over the parallel loop's — the one-run scaling the
-	// round protocol buys. Note the two loops follow different (each
-	// deterministic) trajectories, so their cuts may differ.
-	PROPParLoop     *HotpathSeries `json:"prop_par_loop,omitempty"`
-	ParLoopSpeedupX float64        `json:"par_loop_speedup_x"`
+	// PROPPortfolioPar1 and PROPPortfolioPar2 time a portfolioRuns-run
+	// PROP portfolio on the engine's worker pool at 1 and 2 workers; each
+	// entry of RunMillis is one whole portfolio. PortfolioSpeedupX is the
+	// 1-worker median over the 2-worker median — what whole-run
+	// parallelism, the engines' only parallelism, buys. Both sides run the
+	// same seeds, so their best cuts are equal.
+	PROPPortfolioPar1 *HotpathSeries `json:"prop_portfolio_par1,omitempty"`
+	PROPPortfolioPar2 *HotpathSeries `json:"prop_portfolio_par2,omitempty"`
+	PortfolioSpeedupX float64        `json:"portfolio_speedup_x"`
 }
 
-// parLoopWorkers is the worker count of the parallel-loop series — the
-// ISSUE-7 acceptance point (≥2× on industry2 at 4 workers, multicore).
-const parLoopWorkers = 4
+// portfolioRuns is the multi-start count of the portfolio series: two
+// runs per worker at 2 workers.
+const portfolioRuns = 4
 
 // HotpathReport is the full study.
 type HotpathReport struct {
@@ -162,7 +168,7 @@ func RunHotpath(names []string, runs int, seed int64, traceSink, progress io.Wri
 			runStart := time.Now()
 			sp := tracer.StartPhase(r, "prop")
 			res, err := core.Partition(b, cfg)
-			sp.EndBusy(res.RefineBusy)
+			sp.End()
 			end := obs.RunEnd{ID: name, Run: r, Dur: time.Since(runStart)}
 			if err != nil {
 				end.Err = err.Error()
@@ -173,19 +179,13 @@ func RunHotpath(names []string, runs int, seed int64, traceSink, progress io.Wri
 			}
 			return res.CutCost, nil
 		}
-		parRun := func(seed int64, _ int) (float64, error) {
-			b, err := randomStart(h, bal, seed)
-			if err != nil {
-				return 0, err
+		portfolio := func(workers int) func(seed int64, _ int) (float64, error) {
+			return func(seed int64, _ int) (float64, error) {
+				best, _, err := engine.Portfolio(context.Background(), portfolioRuns,
+					engine.Config[float64]{Workers: workers, Less: func(a, b float64) bool { return a < b }},
+					func(_ context.Context, r int) (float64, error) { return propRun(seed+int64(r), r) })
+				return best, err
 			}
-			cfg := core.DefaultConfig(bal)
-			cfg.MoveWorkers = parLoopWorkers
-			cfg.Workers = parLoopWorkers
-			res, err := core.Partition(b, cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.CutCost, nil
 		}
 		fmRun := func(seed int64, _ int) (float64, error) {
 			b, err := randomStart(h, bal, seed)
@@ -218,23 +218,25 @@ func RunHotpath(names []string, runs int, seed int64, traceSink, progress io.Wri
 			return rep, fmt.Errorf("bench: hotpath %s: traced best cut %g != untraced %g (tracing must be observation-only)",
 				name, tracedSeries.BestCut, rec.PROP.BestCut)
 		}
-		parSeries, err := timeSeries(parRun, runs, seed)
+		par1, par2, err := timePaired(portfolio(1), portfolio(2), runs, seed)
 		if err != nil {
-			return rep, fmt.Errorf("bench: hotpath %s PROP par-loop: %w", name, err)
+			return rep, fmt.Errorf("bench: hotpath %s PROP portfolio: %w", name, err)
 		}
-		rec.PROPParLoop = &parSeries
-		if parSeries.MeanMillis > 0 {
-			rec.ParLoopSpeedupX = rec.PROP.MeanMillis / parSeries.MeanMillis
+		if par1.BestCut != par2.BestCut {
+			return rep, fmt.Errorf("bench: hotpath %s: 2-worker portfolio cut %g != 1-worker %g (the engine must be deterministic)",
+				name, par2.BestCut, par1.BestCut)
 		}
+		rec.PROPPortfolioPar1, rec.PROPPortfolioPar2 = &par1, &par2
+		rec.PortfolioSpeedupX = median(par1.RunMillis) / median(par2.RunMillis)
 		fmSeries, err := timeSeries(fmRun, runs, seed)
 		if err != nil {
 			return rep, fmt.Errorf("bench: hotpath %s FM: %w", name, err)
 		}
 		rec.FM = &fmSeries
 		if progress != nil {
-			fmt.Fprintf(progress, "hotpath %-10s PROP cut %g mean %.1fms (traced %+.1f%%) | par-loop cut %g mean %.1fms (%.2fx) | FM cut %g mean %.1fms\n",
+			fmt.Fprintf(progress, "hotpath %-10s PROP cut %g mean %.1fms (traced %+.1f%%) | %d-run portfolio median %.1fms at 1 worker, %.1fms at 2 (%.2fx) | FM cut %g mean %.1fms\n",
 				name, rec.PROP.BestCut, rec.PROP.MeanMillis, rec.TraceOverheadPct,
-				parSeries.BestCut, parSeries.MeanMillis, rec.ParLoopSpeedupX,
+				portfolioRuns, median(par1.RunMillis), median(par2.RunMillis), rec.PortfolioSpeedupX,
 				rec.FM.BestCut, rec.FM.MeanMillis)
 		}
 		rep.Circuits = append(rep.Circuits, rec)
@@ -261,21 +263,55 @@ func measureDisabledPhase() float64 {
 }
 
 func timeSeries(run func(seed int64, r int) (float64, error), runs int, seed int64) (HotpathSeries, error) {
-	s := HotpathSeries{RunMillis: make([]float64, 0, runs)}
-	best := 0.0
+	var s HotpathSeries
 	for r := 0; r < runs; r++ {
-		start := time.Now()
-		cut, err := run(seed+int64(r), r)
-		if err != nil {
+		if err := s.time(run, seed+int64(r), r); err != nil {
 			return s, err
 		}
-		ms := float64(time.Since(start).Nanoseconds()) / 1e6
-		s.RunMillis = append(s.RunMillis, ms)
-		if r == 0 || cut < best {
-			best = cut
+	}
+	s.summarize()
+	return s, nil
+}
+
+// timePaired times a and b on the same seeds, one pair per repetition,
+// alternating which side runs first so drifting machine state hits both
+// series alike.
+func timePaired(a, b func(seed int64, r int) (float64, error), runs int, seed int64) (HotpathSeries, HotpathSeries, error) {
+	var sa, sb HotpathSeries
+	for r := 0; r < runs; r++ {
+		first, second := &sa, &sb
+		fa, fb := a, b
+		if r%2 == 1 {
+			first, second, fa, fb = second, first, fb, fa
+		}
+		if err := first.time(fa, seed+int64(r), r); err != nil {
+			return sa, sb, err
+		}
+		if err := second.time(fb, seed+int64(r), r); err != nil {
+			return sa, sb, err
 		}
 	}
-	s.BestCut = best
+	sa.summarize()
+	sb.summarize()
+	return sa, sb, nil
+}
+
+// time runs one timed repetition and appends it to the series.
+func (s *HotpathSeries) time(run func(seed int64, r int) (float64, error), seed int64, r int) error {
+	start := time.Now()
+	cut, err := run(seed, r)
+	if err != nil {
+		return err
+	}
+	s.RunMillis = append(s.RunMillis, float64(time.Since(start).Nanoseconds())/1e6)
+	if len(s.RunMillis) == 1 || cut < s.BestCut {
+		s.BestCut = cut
+	}
+	return nil
+}
+
+// summarize fills MeanMillis and MinMillis from RunMillis.
+func (s *HotpathSeries) summarize() {
 	var sum float64
 	s.MinMillis = s.RunMillis[0]
 	for _, ms := range s.RunMillis {
@@ -285,7 +321,18 @@ func timeSeries(run func(seed int64, r int) (float64, error), runs int, seed int
 		}
 	}
 	s.MeanMillis = sum / float64(len(s.RunMillis))
-	return s, nil
+}
+
+// median returns the median of xs (the mean of the middle two for even
+// lengths).
+func median(xs []float64) float64 {
+	ys := append([]float64(nil), xs...)
+	sort.Float64s(ys)
+	n := len(ys)
+	if n%2 == 1 {
+		return ys[n/2]
+	}
+	return (ys[n/2-1] + ys[n/2]) / 2
 }
 
 // WriteHotpath emits the report as indented JSON.

@@ -72,22 +72,6 @@ type Config struct {
 	// MaxPasses bounds improvement passes; 0 = run until G_max ≤ 0.
 	MaxPasses int
 
-	// Workers is the worker count for the refinement gain sweeps, resolved
-	// with engine semantics (≤ 0 selects GOMAXPROCS). Any value yields
-	// bit-identical results: shards are fixed node ranges and each gain is
-	// a pure read of shared state. DefaultConfig sets 1 (serial) because
-	// multi-start engines already saturate cores with whole runs.
-	Workers int
-
-	// MoveWorkers selects the pass-loop implementation. 0 (the default)
-	// runs the serial locked-move loop. Any positive value runs the
-	// synchronous-round parallel loop (moves.ParallelLoop) with that many
-	// proposal-scan workers; every positive value yields bit-identical
-	// results, though the round-based trajectory legitimately differs
-	// from the serial loop's (one frontier snapshot per round instead of
-	// per move).
-	MoveWorkers int
-
 	// Tracer, when non-nil, receives per-pass (and, at obs.LevelMove,
 	// per-move) trace events. Tracing is observation-only: it never
 	// changes the computed partition, and a nil Tracer costs one
@@ -110,7 +94,6 @@ func DefaultConfig(bal partition.Balance) Config {
 		Init:        InitBlind,
 		Refinements: 2,
 		TopK:        5,
-		Workers:     1,
 	}
 }
 

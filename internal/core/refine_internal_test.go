@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"prop/internal/gen"
@@ -67,78 +66,6 @@ func TestRefineMatchesReference(t *testing.T) {
 							refinements, seed, s, en, e.calc.Prod(s, en), r.calc.Prod(s, en))
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestSweepGainsWorkerInvariance: the sharded parallel gain sweep writes
-// bit-identical gain vectors for every worker count, full sweeps and
-// dirty-subset sweeps alike.
-func TestSweepGainsWorkerInvariance(t *testing.T) {
-	cfg := DefaultConfig(partition.Exact5050())
-	ref := newRefineEngine(t, cfg, 3)
-	ref.workers = 1
-	ref.sweepGains(nil)
-
-	only := make([]bool, ref.b.H.NumNodes())
-	for u := range only {
-		only[u] = u%3 == 0
-	}
-
-	for _, w := range []int{2, 4, runtime.NumCPU() + 3} {
-		e := newRefineEngine(t, cfg, 3)
-		e.workers = w
-		e.sweepGains(nil)
-		for u := range e.gain {
-			if e.gain[u] != ref.gain[u] {
-				t.Fatalf("workers=%d: gain[%d] = %g, serial %g", w, u, e.gain[u], ref.gain[u])
-			}
-		}
-		// Subset sweep over stale state: only marked entries may change.
-		for u := range e.gain {
-			e.gain[u] = -123
-		}
-		e.sweepGains(only)
-		for u := range e.gain {
-			switch {
-			case only[u] && e.gain[u] != ref.gain[u]:
-				t.Fatalf("workers=%d subset: gain[%d] = %g, want %g", w, u, e.gain[u], ref.gain[u])
-			case !only[u] && e.gain[u] != -123:
-				t.Fatalf("workers=%d subset: unmarked gain[%d] overwritten", w, u)
-			}
-		}
-	}
-}
-
-// TestPartitionWorkersBitIdentical: full PROP runs agree across worker
-// counts — the end-to-end determinism contract of Config.Workers.
-func TestPartitionWorkersBitIdentical(t *testing.T) {
-	h := gen.MustGenerate(gen.Params{Nodes: 700, Nets: 770, Pins: 2700, Seed: 92})
-	bal := partition.Exact5050()
-	run := func(workers int) ([]uint8, float64) {
-		rng := rand.New(rand.NewSource(17))
-		b, err := partition.NewBisection(h, partition.RandomSides(h, bal, rng))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig(bal)
-		cfg.Workers = workers
-		res, err := Partition(b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Sides, res.CutCost
-	}
-	refSides, refCut := run(1)
-	for _, w := range []int{4, runtime.NumCPU()} {
-		sides, cut := run(w)
-		if cut != refCut {
-			t.Fatalf("workers=%d: cut %g, serial %g", w, cut, refCut)
-		}
-		for u := range sides {
-			if sides[u] != refSides[u] {
-				t.Fatalf("workers=%d: side[%d] differs from serial run", w, u)
 			}
 		}
 	}

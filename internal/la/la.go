@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"prop/internal/ds"
+	"prop/internal/hypergraph"
 	"prop/internal/moves"
 	"prop/internal/obs"
 	"prop/internal/partition"
@@ -28,13 +29,6 @@ type Config struct {
 	K         int // lookahead depth; 1 degenerates to FM's gain (k=2..4 typical)
 	Balance   partition.Balance
 	MaxPasses int // 0 = run until no improving pass
-
-	// MoveWorkers selects the pass-loop implementation: 0 (default) runs
-	// the serial locked-move loop; any positive value runs the
-	// synchronous-round parallel loop with that many proposal-scan
-	// workers. Every positive value is bit-identical; the round
-	// trajectory legitimately differs from the serial one.
-	MoveWorkers int
 
 	// Tracer, when non-nil, receives one event per pass. Observation-only.
 	Tracer *obs.Tracer
@@ -51,26 +45,48 @@ type Result struct {
 	Moves   int
 }
 
+// keyLimit is the exactness bound of the packed selection key: a float64
+// holds every integer up to 2^53, so vectors encode exactly while
+// base^K ≤ keyLimit.
+const keyLimit = 1 << 53
+
+// maxDepth returns the deepest lookahead whose packed key stays exact for
+// the given maximum node degree: the largest K with (2·maxDeg+3)^K ≤ 2^53.
+// Since the base is at least 3, K never exceeds 33, which also caps the
+// vector arena at 33·n.
+func maxDepth(maxDeg int) int {
+	base := uint64(2*maxDeg + 3)
+	k := 0
+	for p := uint64(1); p <= keyLimit/base; p *= base {
+		k++
+	}
+	return k
+}
+
+// maxDegree returns the largest node degree of h.
+func maxDegree(h *hypergraph.Hypergraph) int {
+	d := 0
+	for u := 0; u < h.NumNodes(); u++ {
+		d = max(d, h.Degree(u))
+	}
+	return d
+}
+
 // Partition runs LA-k on the bisection in place.
 func Partition(b *partition.Bisection, cfg Config) (Result, error) {
 	if cfg.K < 1 {
 		return Result{}, fmt.Errorf("la: lookahead K=%d, want ≥ 1", cfg.K)
 	}
+	deg := maxDegree(b.H)
+	if limit := maxDepth(deg); cfg.K > limit {
+		return Result{}, fmt.Errorf("la: lookahead K=%d exceeds %d, the deepest exact key at max degree %d",
+			cfg.K, limit, deg)
+	}
 	if err := cfg.Balance.Validate(); err != nil {
 		return Result{}, err
 	}
 	e := newEngine(b, cfg)
-	runner := moves.PassRunner(e.loop())
-	if cfg.MoveWorkers > 0 {
-		// Round mode: MoveLock's vector maintenance only touches unlocked
-		// nodes, which rounds keep present in the (unconsulted) trees.
-		runner = &moves.ParallelLoop{
-			B: b, Bal: cfg.Balance, Pol: e,
-			Workers: cfg.MoveWorkers,
-			Tracer:  cfg.Tracer, TraceRun: cfg.TraceRun,
-		}
-	}
-	out := moves.Run(runner, cfg.MaxPasses, cfg.Tracer, cfg.TraceRun, nil)
+	out := moves.Run(e.loop(), cfg.MaxPasses, cfg.Tracer, cfg.TraceRun, nil)
 	return Result{
 		Sides:   b.Sides(),
 		CutCost: b.CutCost(),
@@ -120,10 +136,8 @@ func newEngine(b *partition.Bisection, cfg Config) *engine {
 	flat := make([]float64, n*cfg.K)
 	for u := 0; u < n; u++ {
 		e.vec[u] = flat[u*cfg.K : (u+1)*cfg.K]
-		if d := h.Degree(u); d > e.maxDeg {
-			e.maxDeg = d
-		}
 	}
+	e.maxDeg = maxDegree(h)
 	e.base = float64(2*e.maxDeg + 3)
 	return e
 }

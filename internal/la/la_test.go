@@ -112,3 +112,39 @@ func TestDeterministic(t *testing.T) {
 		t.Fatalf("two identical runs differ: %g vs %g", a, b)
 	}
 }
+
+// TestPartitionRejectsInexactDepth pins the lookahead bound: LA packs each
+// gain vector into one float64 key in base 2·maxDeg+3, which is exact only
+// while base^K ≤ 2^53. Partition accepts the deepest such K, rejects the
+// next one with an error, and rejects an absurd K without sizing its
+// vector arena from it.
+func TestPartitionRejectsInexactDepth(t *testing.T) {
+	h := gen.MustGenerate(gen.Params{Nodes: 120, Nets: 130, Pins: 420, Seed: 8})
+	maxDeg := 0
+	for u := 0; u < h.NumNodes(); u++ {
+		maxDeg = max(maxDeg, h.Degree(u))
+	}
+	base := float64(2*maxDeg + 3)
+	deepest := 0
+	for p := base; p <= 1<<53; p *= base {
+		deepest++
+	}
+	bal := partition.Exact5050()
+	sides := partition.RandomSides(h, bal, rand.New(rand.NewSource(1)))
+	run := func(k int) error {
+		b, err := partition.NewBisection(h, sides)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = la.Partition(b, la.Config{K: k, Balance: bal})
+		return err
+	}
+	if err := run(deepest); err != nil {
+		t.Fatalf("K=%d (deepest exact key at max degree %d): %v", deepest, maxDeg, err)
+	}
+	for _, k := range []int{deepest + 1, 34, 1 << 62} {
+		if err := run(k); err == nil {
+			t.Errorf("K=%d: accepted, want an error (max degree %d allows K ≤ %d)", k, maxDeg, deepest)
+		}
+	}
+}

@@ -18,7 +18,7 @@
 //
 //	ts_us   int     microseconds since the tracer was created (monotonic)
 //	ev      string  event kind: run_start | run_end | pass | move |
-//	                flow | round | delta_apply
+//	                flow | delta_apply | phase_start | phase
 //	run     int     0-based multi-start run index
 //
 // Kind-specific fields:
@@ -26,26 +26,17 @@
 //	run_start    id?
 //	run_end      id?, dur_us, err?
 //	pass         algo, id?, pass, cut, gmax, moves, kept, locked,
-//	             dirty_nets, swept, refine_iters, workers,
-//	             sweep_busy_us, sweep_wall_us, dur_us
+//	             dirty_nets, swept, refine_iters, sweep_wall_us, dur_us
 //	move         pass, node, gain
 //	flow         id?, round, boundary, corridor, nets, flow,
 //	             cut_before, cut_after, adopted (0/1), dur_us
-//	round        pass, round, proposed, conflicted, applied,
-//	             busy_us, wall_us
 //	delta_apply  id?, structural (0/1), nodes, nets, collapsed, dur_us
 //	phase_start  name, depth, level
-//	phase        name, depth, level, wall_us, busy_us, heap_bytes?
+//	phase        name, depth, level, wall_us, heap_bytes?
 //
 // flow is one corridor max-flow round of the flow-based boundary
 // refinement stage (internal/flow) — the flow analogue of a pass event,
 // emitted at LevelPass.
-//
-// round is one synchronous propose/apply round of the parallel move loop
-// (moves.ParallelLoop), emitted at LevelPass: how many moves the scan
-// phase proposed, how many the serial apply step skipped as conflicted,
-// how many committed, plus summed per-worker scan busy time and the
-// round's wall clock.
 //
 // delta_apply spans the application of a netlist delta (incremental
 // repartitioning); its run field is always 0 — delta application happens
@@ -232,9 +223,7 @@ type Pass struct {
 	SweptNodes  int // gain recomputations across refine sweeps
 	RefineIters int // refine iterations actually executed
 
-	Workers   int           // refinement sweep worker count
-	SweepBusy time.Duration // summed per-worker busy time in sweeps
-	SweepWall time.Duration // wall-clock time of the sweeps
+	SweepWall time.Duration // wall-clock time of the refinement gain sweeps
 
 	Dur time.Duration // wall-clock time of the whole pass
 }
@@ -289,44 +278,6 @@ func (t *Tracer) EmitFlowRound(e FlowRound) {
 	}
 	b = appendInt(b, "adopted", adopted)
 	b = appendInt(b, "dur_us", e.Dur.Microseconds())
-	t.close(b)
-	t.mu.Unlock()
-}
-
-// Round is one synchronous propose/apply round of the parallel move loop
-// (LevelPass). Proposed counts candidates surfaced by the scan phase,
-// Conflicted the proposals the serial apply step skipped (shared net with
-// an earlier commit this round, or balance no longer admits the move),
-// Applied the moves committed. Busy sums per-worker scan time; Wall is
-// the round's wall clock.
-type Round struct {
-	Run   int
-	Pass  int
-	Round int // 0-based round index within the pass
-
-	Proposed   int
-	Conflicted int
-	Applied    int
-
-	Busy time.Duration
-	Wall time.Duration
-}
-
-// EmitRound records a round event. Callers should guard with PassEnabled;
-// EmitRound itself is also nil-safe.
-func (t *Tracer) EmitRound(e Round) {
-	if t == nil || t.level < LevelPass {
-		return
-	}
-	t.mu.Lock()
-	b := t.open("round", e.Run)
-	b = appendInt(b, "pass", int64(e.Pass))
-	b = appendInt(b, "round", int64(e.Round))
-	b = appendInt(b, "proposed", int64(e.Proposed))
-	b = appendInt(b, "conflicted", int64(e.Conflicted))
-	b = appendInt(b, "applied", int64(e.Applied))
-	b = appendInt(b, "busy_us", e.Busy.Microseconds())
-	b = appendInt(b, "wall_us", e.Wall.Microseconds())
 	t.close(b)
 	t.mu.Unlock()
 }
@@ -413,8 +364,6 @@ func (t *Tracer) EmitPass(e Pass) {
 	b = appendInt(b, "dirty_nets", int64(e.DirtyNets))
 	b = appendInt(b, "swept", int64(e.SweptNodes))
 	b = appendInt(b, "refine_iters", int64(e.RefineIters))
-	b = appendInt(b, "workers", int64(e.Workers))
-	b = appendInt(b, "sweep_busy_us", e.SweepBusy.Microseconds())
 	b = appendInt(b, "sweep_wall_us", e.SweepWall.Microseconds())
 	b = appendInt(b, "dur_us", e.Dur.Microseconds())
 	t.close(b)
@@ -441,7 +390,7 @@ func (t *Tracer) EmitMove(e Move) {
 
 // Phase is one completed hierarchical phase span: a named stage of the
 // partitioning pipeline (multilevel level, warm polish round, flow stage,
-// refine dispatch) with its nesting depth and wall/busy time. Heap is the
+// refine dispatch) with its nesting depth and wall time. Heap is the
 // process heap at phase end, zero unless heap sampling is enabled.
 type Phase struct {
 	Run   int
@@ -450,8 +399,7 @@ type Phase struct {
 	Level int // phase-local ordinal: coarsen level, polish round, ...
 
 	Wall time.Duration
-	Busy time.Duration // summed worker busy time, zero when untracked
-	Heap uint64        // HeapAlloc bytes at phase end (heap sampling only)
+	Heap uint64 // HeapAlloc bytes at phase end (heap sampling only)
 }
 
 // PhaseSpan is an open phase started by StartPhase. The zero value (from
@@ -497,13 +445,8 @@ func (t *Tracer) StartPhaseLevel(run int, name string, level int) PhaseSpan {
 	return PhaseSpan{t: t, start: time.Now(), name: name, run: run, depth: depth, level: level}
 }
 
-// End closes the span with no busy-time attribution. No-op on the zero
-// span.
-func (s PhaseSpan) End() { s.EndBusy(0) }
-
-// EndBusy closes the span, attributing busy as summed worker time inside
-// the phase. No-op on the zero span.
-func (s PhaseSpan) EndBusy(busy time.Duration) {
+// End closes the span. No-op on the zero span.
+func (s PhaseSpan) End() {
 	t := s.t
 	if t == nil {
 		return
@@ -514,7 +457,6 @@ func (s PhaseSpan) EndBusy(busy time.Duration) {
 		Depth: s.depth,
 		Level: s.level,
 		Wall:  time.Since(s.start),
-		Busy:  busy,
 	}
 	if t.heap {
 		// Outside t.mu: ReadMemStats stops the world and must not extend
@@ -532,7 +474,6 @@ func (s PhaseSpan) EndBusy(busy time.Duration) {
 	b = appendInt(b, "depth", int64(s.depth))
 	b = appendInt(b, "level", int64(s.level))
 	b = appendInt(b, "wall_us", e.Wall.Microseconds())
-	b = appendInt(b, "busy_us", e.Busy.Microseconds())
 	if e.Heap != 0 {
 		b = appendInt(b, "heap_bytes", int64(e.Heap))
 	}

@@ -7,30 +7,27 @@ import (
 )
 
 // goldenTrace is a hand-written industry2-style trace: two portfolio runs
-// with nested multilevel-ish phases, converging pass curves, parallel
-// rounds and a flow round. Hand-written so every aggregate is exactly
-// checkable.
+// with nested multilevel-ish phases, converging pass curves and flow
+// rounds. Hand-written so every aggregate is exactly checkable.
 const goldenTrace = `{"ts_us":0,"ev":"run_start","run":0,"id":"g"}
 {"ts_us":1,"ev":"phase_start","run":0,"name":"multilevel","depth":0,"level":0}
 {"ts_us":2,"ev":"phase_start","run":0,"name":"coarsen","depth":1,"level":0}
-{"ts_us":50,"ev":"phase","run":0,"name":"coarsen","depth":1,"level":0,"wall_us":48,"busy_us":0}
+{"ts_us":50,"ev":"phase","run":0,"name":"coarsen","depth":1,"level":0,"wall_us":48}
 {"ts_us":51,"ev":"phase_start","run":0,"name":"coarsen","depth":1,"level":1}
-{"ts_us":81,"ev":"phase","run":0,"name":"coarsen","depth":1,"level":1,"wall_us":30,"busy_us":0}
+{"ts_us":81,"ev":"phase","run":0,"name":"coarsen","depth":1,"level":1,"wall_us":30}
 {"ts_us":82,"ev":"phase_start","run":0,"name":"initial","depth":1,"level":0}
 {"ts_us":100,"ev":"phase_start","run":0,"name":"prop","depth":2,"level":0}
 {"ts_us":150,"ev":"pass","run":0,"algo":"prop","pass":0,"cut":600,"gmax":4,"moves":100,"kept":60,"locked":100,"dur_us":40}
 {"ts_us":190,"ev":"pass","run":0,"algo":"prop","pass":1,"cut":520,"gmax":2,"moves":80,"kept":30,"locked":80,"dur_us":35}
-{"ts_us":200,"ev":"phase","run":0,"name":"prop","depth":2,"level":0,"wall_us":100,"busy_us":70,"heap_bytes":1048576}
-{"ts_us":201,"ev":"phase","run":0,"name":"initial","depth":1,"level":0,"wall_us":119,"busy_us":0}
-{"ts_us":400,"ev":"phase","run":0,"name":"multilevel","depth":0,"level":0,"wall_us":399,"busy_us":0}
-{"ts_us":420,"ev":"round","run":0,"pass":0,"round":0,"proposed":40,"conflicted":4,"applied":30,"busy_us":200,"wall_us":100}
-{"ts_us":440,"ev":"round","run":0,"pass":0,"round":1,"proposed":60,"conflicted":6,"applied":50,"busy_us":100,"wall_us":50}
+{"ts_us":200,"ev":"phase","run":0,"name":"prop","depth":2,"level":0,"wall_us":100,"heap_bytes":1048576}
+{"ts_us":201,"ev":"phase","run":0,"name":"initial","depth":1,"level":0,"wall_us":119}
+{"ts_us":400,"ev":"phase","run":0,"name":"multilevel","depth":0,"level":0,"wall_us":399}
 {"ts_us":500,"ev":"run_end","run":0,"id":"g","dur_us":500}
 {"ts_us":510,"ev":"run_start","run":1,"id":"g"}
 {"ts_us":511,"ev":"phase_start","run":1,"name":"multilevel","depth":0,"level":0}
 {"ts_us":600,"ev":"pass","run":1,"algo":"prop","pass":0,"cut":580,"gmax":3,"moves":100,"kept":40,"locked":100,"dur_us":50}
 {"ts_us":700,"ev":"pass","run":1,"algo":"prop","pass":1,"cut":550,"gmax":1,"moves":60,"kept":10,"locked":60,"dur_us":30}
-{"ts_us":890,"ev":"phase","run":1,"name":"multilevel","depth":0,"level":0,"wall_us":379,"busy_us":0}
+{"ts_us":890,"ev":"phase","run":1,"name":"multilevel","depth":0,"level":0,"wall_us":379}
 {"ts_us":900,"ev":"flow","run":1,"round":0,"boundary":30,"corridor":200,"nets":400,"flow":12,"cut_before":550,"cut_after":540,"adopted":1,"dur_us":80}
 {"ts_us":980,"ev":"flow","run":1,"round":1,"boundary":28,"corridor":190,"nets":380,"flow":12,"cut_before":540,"cut_after":540,"adopted":0,"dur_us":70}
 {"ts_us":1000,"ev":"run_end","run":1,"id":"g","dur_us":490}
@@ -47,7 +44,7 @@ func readGolden(t *testing.T) *RunReport {
 
 func TestReadGoldenHeader(t *testing.T) {
 	rep := readGolden(t)
-	if rep.Events != 24 || rep.Runs != 2 || rep.Malformed != 0 {
+	if rep.Events != 22 || rep.Runs != 2 || rep.Malformed != 0 {
 		t.Errorf("events/runs/malformed = %d/%d/%d", rep.Events, rep.Runs, rep.Malformed)
 	}
 	if rep.RunWallUS != 990 {
@@ -71,7 +68,7 @@ func TestPhaseTreeSums(t *testing.T) {
 		t.Fatalf("coarsen node = %+v", co)
 	}
 	pr := flat["multilevel/initial/prop"]
-	if pr == nil || pr.Count != 1 || pr.WallUS != 100 || pr.BusyUS != 70 {
+	if pr == nil || pr.Count != 1 || pr.WallUS != 100 {
 		t.Fatalf("prop node = %+v", pr)
 	}
 	if pr.HeapMax != 1048576 {
@@ -122,17 +119,6 @@ func TestMoveRoundFlowRates(t *testing.T) {
 	if want := 100 * 140.0 / 340.0; math.Abs(m.AcceptRatePct-want) > 1e-9 {
 		t.Errorf("accept rate = %g, want %g", m.AcceptRatePct, want)
 	}
-	rs := rep.Rounds
-	if rs == nil || rs.Rounds != 2 || rs.Proposed != 100 || rs.Conflicted != 10 || rs.Applied != 80 {
-		t.Fatalf("rounds = %+v", rs)
-	}
-	if rs.ConflictRatePct != 10 {
-		t.Errorf("conflict rate = %g", rs.ConflictRatePct)
-	}
-	// Utilization: (200+100) busy over (100+50) wall = 2.0x.
-	if rs.UtilizationX != 2 {
-		t.Errorf("utilization = %g, want 2", rs.UtilizationX)
-	}
 	f := rep.Flow
 	if f == nil || f.Rounds != 2 || f.Adopted != 1 || f.AdoptionRatePct != 50 || f.CutImprovement != 10 {
 		t.Fatalf("flow = %+v", f)
@@ -169,7 +155,7 @@ func TestDiffFlagsRegressions(t *testing.T) {
 func TestReadToleratesMalformed(t *testing.T) {
 	trace := `{"ts_us":0,"ev":"phase_start","run":0,"name":"a","depth":0,"level":0}
 not json at all
-{"ts_us":5,"ev":"phase","run":0,"name":"mismatch","depth":0,"level":0,"wall_us":5,"busy_us":0}
+{"ts_us":5,"ev":"phase","run":0,"name":"mismatch","depth":0,"level":0,"wall_us":5}
 {"ts_us":9,"ev":"phase_start","run":0,"name":"unclosed","depth":1,"level":0}
 `
 	rep, err := Read(strings.NewReader(trace))
@@ -193,7 +179,7 @@ func TestWriteTextAndJSON(t *testing.T) {
 		"runs 2", "phase coverage 78.6%",
 		"multilevel", "coarsen", "top 4 phases",
 		"convergence", "best-so-far",
-		"moves: 4 passes", "rounds: 2 rounds", "utilization 2.00x",
+		"moves: 4 passes",
 		"flow: 2 rounds, 1 adopted (50.0%)",
 	} {
 		if !strings.Contains(text, want) {
@@ -204,7 +190,7 @@ func TestWriteTextAndJSON(t *testing.T) {
 	if err := WriteJSON(&sb, rep); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"phase_coverage_pct"`, `"best_so_far"`, `"utilization_x"`, `"adoption_rate_pct"`} {
+	for _, want := range []string{`"phase_coverage_pct"`, `"best_so_far"`, `"adoption_rate_pct"`} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("json report missing %q", want)
 		}

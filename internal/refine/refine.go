@@ -9,7 +9,6 @@ package refine
 
 import (
 	"fmt"
-	"time"
 
 	"prop/internal/core"
 	"prop/internal/flow"
@@ -40,15 +39,6 @@ type Options struct {
 	// selects flow's defaults.
 	Flow *flow.Params
 
-	// MoveWorkers, when positive, runs the node engines ("prop", "fm",
-	// "fm-tree", "la") on the synchronous-round parallel move loop with
-	// that many proposal-scan workers — bit-identical at any positive
-	// value. 0 keeps the serial loop. The pair-swap engines ("kl", "sk")
-	// and the flow polisher have no node-move loop and ignore it. For
-	// "prop" with an explicit PROP config, the config's own MoveWorkers
-	// wins when set.
-	MoveWorkers int
-
 	// Tracer, when non-nil, receives per-pass trace events from whichever
 	// engine runs. Observation-only.
 	Tracer *obs.Tracer
@@ -65,11 +55,6 @@ type Result struct {
 	// Moves counts virtual moves (node engines) or kept swaps (pair
 	// engines).
 	Moves int
-	// RefineBusy/RefineWall/RefineWorkers mirror core.Result's refinement
-	// sweep timing for "prop" runs (zero for the other engines).
-	RefineBusy    time.Duration
-	RefineWall    time.Duration
-	RefineWorkers int
 }
 
 // Algorithms lists the dispatchable algorithms in canonical order.
@@ -93,7 +78,7 @@ func Bipartition(h *hypergraph.Hypergraph, initial []uint8, o Options) (Result, 
 	}
 	sp := tr.StartPhase(run, name)
 	r, err := bipartition(h, initial, o)
-	sp.EndBusy(r.RefineBusy)
+	sp.End()
 	return r, err
 }
 
@@ -146,8 +131,7 @@ func bipartition(h *hypergraph.Hypergraph, initial []uint8, o Options) (Result, 
 		}
 		r, err := fm.Partition(b, fm.Config{
 			Balance: o.Balance, Selector: sel, MaxPasses: o.MaxPasses,
-			MoveWorkers: o.MoveWorkers,
-			Tracer:      o.Tracer, TraceRun: o.TraceRun,
+			Tracer: o.Tracer, TraceRun: o.TraceRun,
 		})
 		if err != nil {
 			return Result{}, err
@@ -161,8 +145,7 @@ func bipartition(h *hypergraph.Hypergraph, initial []uint8, o Options) (Result, 
 		}
 		r, err := la.Partition(b, la.Config{
 			K: k, Balance: o.Balance, MaxPasses: o.MaxPasses,
-			MoveWorkers: o.MoveWorkers,
-			Tracer:      o.Tracer, TraceRun: o.TraceRun,
+			Tracer: o.Tracer, TraceRun: o.TraceRun,
 		})
 		if err != nil {
 			return Result{}, err
@@ -173,13 +156,9 @@ func bipartition(h *hypergraph.Hypergraph, initial []uint8, o Options) (Result, 
 		var cfg core.Config
 		if o.PROP != nil {
 			cfg = *o.PROP
-			if cfg.MoveWorkers == 0 {
-				cfg.MoveWorkers = o.MoveWorkers
-			}
 		} else {
 			cfg = core.DefaultConfig(o.Balance)
 			cfg.MaxPasses = o.MaxPasses
-			cfg.MoveWorkers = o.MoveWorkers
 			cfg.Tracer = o.Tracer
 			cfg.TraceRun = o.TraceRun
 		}
@@ -188,9 +167,7 @@ func bipartition(h *hypergraph.Hypergraph, initial []uint8, o Options) (Result, 
 			return Result{}, err
 		}
 		return Result{Sides: r.Sides, CutCost: r.CutCost, CutNets: r.CutNets,
-			Passes: r.Passes, Moves: r.Moves,
-			RefineBusy: r.RefineBusy, RefineWall: r.RefineWall,
-			RefineWorkers: r.RefineWorkers}, nil
+			Passes: r.Passes, Moves: r.Moves}, nil
 	}
 	return Result{}, fmt.Errorf("refine: unknown algorithm %q (have %v)", o.Algorithm, Algorithms())
 }

@@ -6,17 +6,18 @@
 # PROP with a pass-level tracer attached and records the slowdown as
 # trace_overhead_pct per circuit — the cost of turning telemetry on —
 # plus the per-phase wall map aggregated from the traced runs
-# (phase_wall_us) and the nil-tracer phase-emitter cost
+# (phase_wall_us), the nil-tracer phase-emitter cost
 # (disabled_phase_ns_per_op), the price every emit site pays with
-# tracing off.
+# tracing off, and a 4-run PROP portfolio at 1 and 2 engine workers
+# (portfolio_speedup_x).
 #
 #	./scripts/bench.sh                 # refuses single-proc runs
 #	./scripts/bench.sh -allow-serial   # accept GOMAXPROCS=1 timings
 #
 # Timings taken with one hardware thread are still valid single-thread
-# measurements, but they silently miss parallel regressions (the sharded
-# refinement sweep never engages), so a serial environment must be
-# acknowledged explicitly.
+# measurements, but the portfolio's two workers cannot overlap there, so
+# the one parallel speedup the engines offer goes unmeasured and its gate
+# is skipped; a serial environment must be acknowledged explicitly.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -96,27 +97,28 @@ awk '
 	grab             { gsub(/[",:]/, ""); printf "  %-10s %-20s %s us\n", name, $1, $2 }
 ' BENCH_hotpath.json
 
-echo "== parallel-loop scaling gate =="
-# The hotpath study times PROP on the synchronous-round parallel loop at 4
-# workers (prop_par_loop) and records the one-run speedup over the serial
-# loop as par_loop_speedup_x. The acceptance bar is ≥ 2.0x on industry2 —
-# but only on a multicore box: with one hardware thread the proposal scan
-# cannot overlap and the ratio measures protocol overhead, so serial runs
+echo "== portfolio scaling gate =="
+# Options.Parallel is the engines' only parallelism: the worker pool runs
+# whole multi-start runs concurrently, each run serial. The hotpath study
+# times a 4-run PROP portfolio at 1 and 2 workers on the same seeds,
+# alternating which goes first, and records the ratio of the medians as
+# portfolio_speedup_x. The bar is >= 1.4x on industry2 with at least two
+# procs (measured 1.61-1.85x on a 2-core host); single-proc runs
 # (-allow-serial) report the number without gating on it.
-speedup=$(sed -n 's/.*"par_loop_speedup_x": *\([0-9.]*\).*/\1/p' BENCH_hotpath.json | tail -1)
+speedup=$(sed -n 's/.*"portfolio_speedup_x": *\([0-9.]*\).*/\1/p' BENCH_hotpath.json | tail -1)
 if [ -z "$speedup" ]; then
-	echo "bench.sh: par_loop_speedup_x missing from BENCH_hotpath.json" >&2
+	echo "bench.sh: portfolio_speedup_x missing from BENCH_hotpath.json" >&2
 	exit 1
 fi
-echo "par-loop speedup on industry2: ${speedup}x (4 workers, GOMAXPROCS=$procs)"
-if [ "$procs" -gt 1 ]; then
-	ok=$(awk -v s="$speedup" 'BEGIN { print (s >= 2.0) ? 1 : 0 }')
+echo "portfolio speedup on industry2: ${speedup}x (2 workers vs 1, GOMAXPROCS=$procs)"
+if [ "$procs" -ge 2 ]; then
+	ok=$(awk -v s="$speedup" 'BEGIN { print (s >= 1.4) ? 1 : 0 }')
 	if [ "$ok" -ne 1 ]; then
-		echo "bench.sh: parallel-loop speedup ${speedup}x on industry2 is below the 2.0x bar" >&2
+		echo "bench.sh: portfolio speedup ${speedup}x on industry2 is below the 1.4x bar" >&2
 		exit 1
 	fi
 else
-	echo "single-proc run: skipping the 2.0x gate (scan workers cannot overlap)"
+	echo "single-proc run: skipping the 1.4x gate (workers cannot overlap)"
 fi
 
 echo "== incremental warm-vs-cold study (BENCH_incremental.json) =="

@@ -53,8 +53,7 @@ func TestRepartitionWarmStart(t *testing.T) {
 
 // TestWarmStartParallelDeterminism pins the bit-determinism contract on
 // the incremental path: a warm-started PROP portfolio returns the same
-// cut and the same exact side assignment at Parallel/RefineWorkers 1 and
-// 4.
+// cut and the same exact side assignment at Parallel 1 and 4.
 func TestWarmStartParallelDeterminism(t *testing.T) {
 	n, err := prop.Benchmark("struct")
 	if err != nil {
@@ -65,21 +64,20 @@ func TestWarmStartParallelDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := ecoDelta(n)
-	run := func(par, refineWorkers int) (float64, uint64) {
+	run := func(par int) (float64, uint64) {
 		_, res, err := prop.Repartition(n, base.Sides, d, prop.Options{
 			Algorithm: prop.AlgoPROP,
 			Runs:      3,
 			Seed:      11,
 			Parallel:  par,
-			PROP:      &prop.PROPParams{RefineWorkers: refineWorkers},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.CutCost, sideHash(res.Sides)
 	}
-	cut1, hash1 := run(1, 1)
-	cut4, hash4 := run(4, 4)
+	cut1, hash1 := run(1)
+	cut4, hash4 := run(4)
 	if cut1 != cut4 || hash1 != hash4 {
 		t.Errorf("warm start diverges across parallelism: (%g, %#x) vs (%g, %#x)",
 			cut1, hash1, cut4, hash4)
