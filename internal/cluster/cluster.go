@@ -1,227 +1,206 @@
 // Package cluster provides heavy-edge matching coarsening and clustered
 // initial partitions — the "clustering initial phase" the paper's §5
-// proposes combining with PROP, and a reusable substrate for the
-// clustering-based baselines.
+// proposes combining with PROP. Every hierarchy is a hypergraph.Contracted
+// view coarsened in place, one memento per contracted pair: CoarsenRounds
+// matches whole rounds against a fixed level (the V-cycle), CoarsenInPlace
+// contracts each pair as soon as it is rated (the n-level hierarchy).
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"prop/internal/hypergraph"
 	"prop/internal/obs"
 	"prop/internal/partition"
 )
 
-// Coarsening maps a fine hypergraph to a smaller one whose nodes are
-// clusters of fine nodes.
-type Coarsening struct {
-	Fine   *hypergraph.Hypergraph
-	Coarse *hypergraph.Hypergraph
-	// Map[u] is the coarse node holding fine node u.
-	Map []int
-	// Levels is the number of matching rounds applied.
-	Levels int
+// rater scores the heavy-edge affinity w(u,v) = Σ cost(e)/(|e|−1) over the
+// live nets u and v share, with epoch-stamped accumulators: rating a node
+// costs O(Σ |e|) over its nets and no per-node map churn.
+type rater struct {
+	c     *hypergraph.Contracted
+	pool  *hypergraph.Pool
+	stamp []int32
+	acc   []float64
+	cand  []int32
+	scan  int32
 }
 
-// Project expands a side assignment of the coarse nodes to the fine nodes.
-func (c *Coarsening) Project(coarseSides []uint8) ([]uint8, error) {
-	if len(coarseSides) != c.Coarse.NumNodes() {
-		return nil, fmt.Errorf("cluster: %d coarse sides for %d coarse nodes",
-			len(coarseSides), c.Coarse.NumNodes())
+func newRater(c *hypergraph.Contracted, pool *hypergraph.Pool) rater {
+	return rater{c: c, pool: pool, stamp: pool.I32(c.NumNodes()), acc: pool.F64(c.NumNodes())}
+}
+
+func (r *rater) release() {
+	r.pool.PutI32(r.stamp)
+	r.pool.PutF64(r.acc)
+}
+
+// best returns u's highest-rated partner over the nets in nets (u's net
+// list, in the order the sums accumulate), or -1. Matched nodes are
+// skipped and, when sides is non-nil, so are nodes on the other side. Ties
+// go to the smaller ID.
+func (r *rater) best(u int32, nets []int32, matched []bool, sides []uint8) int32 {
+	c := r.c
+	r.scan++
+	r.cand = r.cand[:0]
+	for _, e := range nets {
+		size := c.NetSize(int(e))
+		if size < 2 {
+			continue
+		}
+		w := c.NetCost(int(e)) / float64(size-1)
+		for _, v := range c.Net(int(e)) {
+			if v == u || matched[v] || (sides != nil && sides[v] != sides[u]) {
+				continue
+			}
+			if r.stamp[v] != r.scan {
+				r.stamp[v] = r.scan
+				r.acc[v] = 0
+				r.cand = append(r.cand, v)
+			}
+			r.acc[v] += w
+		}
 	}
-	fine := make([]uint8, c.Fine.NumNodes())
-	for u := range fine {
-		fine[u] = coarseSides[c.Map[u]]
+	best, bw := int32(-1), 0.0
+	for _, v := range r.cand {
+		if a := r.acc[v]; a > bw || (a == bw && best >= 0 && v < best) {
+			best, bw = v, a
+		}
 	}
-	return fine, nil
+	return best
 }
 
-// Level is one heavy-edge matching step: Coarse is the shrunken
-// hypergraph and Map sends each node of the previous (finer) level to its
-// coarse cluster.
-type Level struct {
-	Coarse *hypergraph.Hypergraph
-	Map    []int
-}
-
-// CoarsenSteps repeatedly applies heavy-edge matching until the hypergraph
-// has at most target nodes or a round makes no progress, returning every
-// intermediate level fine→coarse. This is the hierarchy a multilevel
-// V-cycle refines back through. The result is deterministic in seed.
-func CoarsenSteps(h *hypergraph.Hypergraph, target int, seed int64) ([]Level, error) {
-	return CoarsenStepsTraced(h, target, seed, nil, 0)
-}
-
-// CoarsenStepsTraced is CoarsenSteps with a phase span per matching round
-// ("coarsen", level = round index) on the given tracer. The tracer is
-// observation-only; a nil tracer is the plain CoarsenSteps.
-func CoarsenStepsTraced(h *hypergraph.Hypergraph, target int, seed int64, tr *obs.Tracer, run int) ([]Level, error) {
+// CoarsenRounds coarsens c by whole heavy-edge matching rounds until at
+// most target nodes are alive or a round matches nothing, and returns the
+// depth after each round: V-cycle level i+1 is c at depth bounds[i], level
+// 0 the base graph. One "coarsen" span covers each round, including a
+// final round that matches nothing.
+//
+// A round rates against the level as it stood when the round began and
+// contracts its pairs only once the whole matching is picked, keeping the
+// smaller ID of each pair alive. It visits the alive IDs, taken in
+// ascending order, in rng.Perm order from one generator seeded once, sums
+// ratings in ascending net ID and caps no cluster weight. Together these
+// make every materialized level the graph classic copy-per-level matching
+// builds, bit for bit — CoarseGraph numbers alive nodes by ascending ID,
+// which is that renumbering once the smaller ID survives — and the
+// V-cycle goldens pin it.
+func CoarsenRounds(c *hypergraph.Contracted, target int, seed int64, pool *hypergraph.Pool, tr *obs.Tracer, run int) ([]int, error) {
 	if target < 2 {
 		return nil, fmt.Errorf("cluster: target %d, want ≥ 2", target)
 	}
+	n := c.NumNodes()
+	r := newRater(c, pool)
+	matched := pool.Bool(n)
+	defer func() {
+		r.release()
+		pool.PutBool(matched)
+	}()
+
 	rng := rand.New(rand.NewSource(seed))
-	var levels []Level
-	cur := h
-	for cur.NumNodes() > target {
-		sp := tr.StartPhaseLevel(run, "coarsen", len(levels))
-		mapping, coarse, err := matchOnce(cur, rng)
+	var bounds []int
+	var alive, sorted []int32
+	var pairs []hypergraph.Memento
+	for c.AliveCount() > target {
+		sp := tr.StartPhaseLevel(run, "coarsen", len(bounds))
+		alive = alive[:0]
+		for u := 0; u < n; u++ {
+			if c.Alive(u) {
+				alive = append(alive, int32(u))
+			}
+		}
+		clear(matched)
+		pairs = pairs[:0]
+		for _, i := range rng.Perm(len(alive)) {
+			u := alive[i]
+			if matched[u] {
+				continue
+			}
+			// Adopted nets trail the base ones; sort so the float sums
+			// accumulate in ascending net ID.
+			nets := c.NetsOf(int(u))
+			if !slices.IsSorted(nets) {
+				sorted = append(sorted[:0], nets...)
+				slices.Sort(sorted)
+				nets = sorted
+			}
+			if v := r.best(u, nets, matched, nil); v >= 0 {
+				matched[u], matched[v] = true, true
+				pairs = append(pairs, hypergraph.Memento{U: min(u, v), V: max(u, v)})
+			}
+		}
+		for _, p := range pairs {
+			c.Contract(p.U, p.V)
+		}
 		sp.End()
-		if err != nil {
-			return nil, err
+		if len(pairs) == 0 {
+			break
 		}
-		if coarse.NumNodes() >= cur.NumNodes() {
-			break // no progress (e.g. no nets left)
-		}
-		levels = append(levels, Level{Coarse: coarse, Map: mapping})
-		cur = coarse
+		bounds = append(bounds, c.Depth())
 	}
-	return levels, nil
+	return bounds, nil
 }
 
-// Coarsen composes CoarsenSteps into a single fine→coarsest mapping.
-func Coarsen(h *hypergraph.Hypergraph, target int, seed int64) (*Coarsening, error) {
-	levels, err := CoarsenSteps(h, target, seed)
-	if err != nil {
-		return nil, err
+// Unwind pops c back to depth; each revived node inherits the side of the
+// representative it was merged into, which projects a level's partition
+// onto the finer level exactly. sides is indexed by base node ID.
+func Unwind(c *hypergraph.Contracted, depth int, sides []uint8) {
+	var caseA []int32
+	for c.Depth() > depth {
+		var m hypergraph.Memento
+		m, caseA = c.Uncontract(caseA[:0])
+		sides[m.V] = sides[m.U]
 	}
-	total := make([]int, h.NumNodes())
-	for i := range total {
-		total[i] = i
-	}
-	cur := h
-	for _, l := range levels {
-		for i := range total {
-			total[i] = l.Map[total[i]]
-		}
-		cur = l.Coarse
-	}
-	return &Coarsening{Fine: h, Coarse: cur, Map: total, Levels: len(levels)}, nil
-}
-
-// matchOnce performs one heavy-edge matching round and builds the coarser
-// hypergraph.
-func matchOnce(h *hypergraph.Hypergraph, rng *rand.Rand) ([]int, *hypergraph.Hypergraph, error) {
-	n := h.NumNodes()
-	match := make([]int, n)
-	for i := range match {
-		match[i] = -1
-	}
-	order := rng.Perm(n)
-	weight := make(map[int]float64, 16)
-	for _, u := range order {
-		if match[u] >= 0 {
-			continue
-		}
-		for k := range weight {
-			delete(weight, k)
-		}
-		u32 := int32(u)
-		for _, e := range h.NetsOf(u) {
-			w := h.NetCost(int(e)) / float64(h.NetSize(int(e))-1)
-			for _, v := range h.Net(int(e)) {
-				if v != u32 && match[v] < 0 {
-					weight[int(v)] += w
-				}
-			}
-		}
-		best, bw := -1, 0.0
-		for v, w := range weight {
-			if w > bw || (w == bw && best >= 0 && v < best) {
-				best, bw = v, w
-			}
-		}
-		if best >= 0 {
-			match[u], match[best] = best, u
-		}
-	}
-	// Assign coarse IDs.
-	mapping := make([]int, n)
-	for i := range mapping {
-		mapping[i] = -1
-	}
-	next := 0
-	for u := 0; u < n; u++ {
-		if mapping[u] >= 0 {
-			continue
-		}
-		mapping[u] = next
-		if v := match[u]; v >= 0 {
-			mapping[v] = next
-		}
-		next++
-	}
-	// Build the coarse hypergraph: weights summed, nets re-pinned.
-	b := hypergraph.NewBuilder()
-	cw := make([]int64, next)
-	for u := 0; u < n; u++ {
-		cw[mapping[u]] += h.NodeWeight(u)
-	}
-	for c := 0; c < next; c++ {
-		b.AddNode("", cw[c])
-	}
-	pins := make([]int, 0, 16)
-	for e := 0; e < h.NumNets(); e++ {
-		pins = pins[:0]
-		for _, u := range h.Net(e) {
-			pins = append(pins, mapping[u])
-		}
-		if err := b.AddNet(h.NetName(e), h.NetCost(e), pins...); err != nil {
-			return nil, nil, err
-		}
-	}
-	coarse, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return mapping, coarse, nil
 }
 
 // ClusteredSides produces an initial bisection by coarsening to roughly
-// clusters nodes, splitting the coarse hypergraph greedily by weight, and
-// projecting back — the paper's proposed clustering pre-phase (§5).
+// clusters nodes, splitting the clusters greedily by weight, and unwinding
+// back to the fine level — the paper's proposed clustering pre-phase (§5).
 func ClusteredSides(h *hypergraph.Hypergraph, bal partition.Balance, clusters int, seed int64) ([]uint8, error) {
 	if clusters < 2 {
 		clusters = 2
 	}
-	c, err := Coarsen(h, clusters, seed)
+	c, err := hypergraph.NewContracted(h, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Greedy weight packing: heaviest coarse node first into the lighter
-	// side, which lands within bounds whenever feasible at this coarseness.
-	nc := c.Coarse.NumNodes()
-	order := make([]int, nc)
-	for i := range order {
-		order[i] = i
+	defer c.Release()
+	if _, err := CoarsenRounds(c, clusters, seed, nil, nil, 0); err != nil {
+		return nil, err
 	}
-	sort.Slice(order, func(i, j int) bool {
-		wi, wj := c.Coarse.NodeWeight(order[i]), c.Coarse.NodeWeight(order[j])
-		if wi != wj {
-			return wi > wj
+	// Greedy weight packing: heaviest cluster first into the lighter side,
+	// which lands within bounds whenever feasible at this coarseness.
+	var reps []int32
+	for u := 0; u < c.NumNodes(); u++ {
+		if c.Alive(u) {
+			reps = append(reps, int32(u))
 		}
-		return order[i] < order[j]
+	}
+	slices.SortFunc(reps, func(a, b int32) int {
+		if d := cmp.Compare(c.NodeWeight(int(b)), c.NodeWeight(int(a))); d != 0 {
+			return d
+		}
+		return cmp.Compare(a, b)
 	})
-	sides := make([]uint8, nc)
+	sides := make([]uint8, h.NumNodes())
 	var w [2]int64
-	for _, u := range order {
+	for _, u := range reps {
 		s := uint8(0)
 		if w[1] < w[0] {
 			s = 1
 		}
 		sides[u] = s
-		w[s] += c.Coarse.NodeWeight(u)
+		w[s] += c.NodeWeight(int(u))
 	}
-	fine, err := c.Project(sides)
-	if err != nil {
-		return nil, err
-	}
+	Unwind(c, 0, sides)
 	// Repair pass at the fine level if greedy packing missed the window.
-	if err := repairBalance(h, fine, bal, seed); err != nil {
+	if err := repairBalance(h, sides, bal, seed); err != nil {
 		return nil, err
 	}
-	return fine, nil
+	return sides, nil
 }
 
 // repairBalance flips lightest nodes from the heavy side until the bounds

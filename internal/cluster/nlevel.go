@@ -9,34 +9,27 @@ import (
 )
 
 // CoarsenInPlace shrinks a Contracted view to at most target alive nodes
-// by heavy-edge matching, contracting each matched pair immediately on the
-// shared arenas — no coarse copies, one memento per pair. It is the
-// n-level counterpart of CoarsenSteps and uses the same rating, w(u,v) =
-// Σ cost(e)/(|e|−1) over shared active nets, with ties to the smaller ID.
+// by heavy-edge matching, contracting each matched pair as soon as it is
+// rated — the n-level hierarchy. It rates like CoarsenRounds but walks
+// u's net list in its stored order.
 //
 // Each round shuffles the node order (deterministically in seed), rates
-// every still-unmatched alive node against its alive neighbors with
-// epoch-stamped accumulators (no per-node map churn), and contracts the
-// best-rated pair whose combined weight stays under the cluster cap —
-// 4× the average target-cluster weight, which keeps any one cluster from
-// swallowing a balance-infeasible share of the circuit. Rounds repeat
-// until the target is reached or a round makes no progress (cap-bound or
-// net-free remainder); the caller sees the stall as a larger-than-target
-// coarsest level, not an error.
+// every still-unmatched alive node against its alive neighbors, and
+// contracts the best-rated pair whose combined weight stays under the
+// cluster cap — 4× the average target-cluster weight, which keeps any one
+// cluster from swallowing a balance-infeasible share of the circuit.
+// Rounds repeat until the target is reached or a round makes no progress
+// (cap-bound or net-free remainder); the caller sees the stall as a
+// larger-than-target coarsest level, not an error.
+//
+// When sides is non-nil only pairs on the same side are contracted, so a
+// partition of the fine graph survives coarsening exactly (every cluster
+// lies within one side, cut and side weights unchanged). This is the
+// recoarsening step of iterated n-level cycles.
 //
 // All scratch is taken from pool and returned before the function exits,
 // so successive hierarchies reuse one generation of buffers.
-func CoarsenInPlace(c *hypergraph.Contracted, target int, seed int64, pool *hypergraph.Pool, tr *obs.Tracer, run int) error {
-	return CoarsenInPlaceSides(c, target, seed, nil, pool, tr, run)
-}
-
-// CoarsenInPlaceSides is CoarsenInPlace restricted to a side assignment:
-// when sides is non-nil, only pairs on the same side are contracted, so a
-// partition of the fine graph survives coarsening exactly (every cluster
-// lies within one side, cut and side weights unchanged). This is the
-// recoarsening step of iterated n-level cycles: the current partition rides
-// down to the coarsest level intact and is refined again on the way up.
-func CoarsenInPlaceSides(c *hypergraph.Contracted, target int, seed int64, sides []uint8, pool *hypergraph.Pool, tr *obs.Tracer, run int) error {
+func CoarsenInPlace(c *hypergraph.Contracted, target int, seed int64, sides []uint8, pool *hypergraph.Pool, tr *obs.Tracer, run int) error {
 	if target < 2 {
 		return fmt.Errorf("cluster: target %d, want ≥ 2", target)
 	}
@@ -45,13 +38,11 @@ func CoarsenInPlaceSides(c *hypergraph.Contracted, target int, seed int64, sides
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	stamp := pool.I32(n)
-	acc := pool.F64(n)
+	r := newRater(c, pool)
 	matched := pool.Bool(n)
 	defer func() {
 		pool.PutI32(perm)
-		pool.PutI32(stamp)
-		pool.PutF64(acc)
+		r.release()
 		pool.PutBool(matched)
 	}()
 
@@ -61,23 +52,16 @@ func CoarsenInPlaceSides(c *hypergraph.Contracted, target int, seed int64, sides
 			total += c.NodeWeight(u)
 		}
 	}
-	weightCap := 4 * total / int64(target)
-	if weightCap < 1 {
-		weightCap = 1
-	}
+	weightCap := max(4*total/int64(target), 1)
 
 	rng := rand.New(rand.NewSource(seed))
-	cand := make([]int32, 0, 64)
-	scan := int32(0)
 	for round := 0; c.AliveCount() > target; round++ {
 		sp := tr.StartPhaseLevel(run, "coarsen", round)
 		for i := n - 1; i > 0; i-- {
 			j := rng.Intn(i + 1)
 			perm[i], perm[j] = perm[j], perm[i]
 		}
-		for i := range matched {
-			matched[i] = false
-		}
+		clear(matched)
 		progress := 0
 		for _, u := range perm {
 			if c.AliveCount() <= target {
@@ -86,35 +70,7 @@ func CoarsenInPlaceSides(c *hypergraph.Contracted, target int, seed int64, sides
 			if !c.Alive(int(u)) || matched[u] {
 				continue
 			}
-			scan++
-			cand = cand[:0]
-			for _, e := range c.NetsOf(int(u)) {
-				size := c.NetSize(int(e))
-				if size < 2 {
-					continue
-				}
-				w := c.NetCost(int(e)) / float64(size-1)
-				for _, v := range c.Net(int(e)) {
-					if v == u || matched[v] {
-						continue
-					}
-					if sides != nil && sides[v] != sides[u] {
-						continue
-					}
-					if stamp[v] != scan {
-						stamp[v] = scan
-						acc[v] = 0
-						cand = append(cand, v)
-					}
-					acc[v] += w
-				}
-			}
-			best, bw := int32(-1), 0.0
-			for _, v := range cand {
-				if acc[v] > bw || (acc[v] == bw && best >= 0 && v < best) {
-					best, bw = v, acc[v]
-				}
-			}
+			best := r.best(u, c.NetsOf(int(u)), matched, sides)
 			if best < 0 || c.NodeWeight(int(u))+c.NodeWeight(int(best)) > weightCap {
 				continue
 			}

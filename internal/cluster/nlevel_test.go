@@ -15,7 +15,7 @@ func TestCoarsenInPlaceReachesTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CoarsenInPlace(c, 40, 7, pool, nil, 0); err != nil {
+	if err := CoarsenInPlace(c, 40, 7, nil, pool, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if c.AliveCount() > 120 {
@@ -60,7 +60,7 @@ func TestCoarsenInPlaceDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := CoarsenInPlace(c, 30, 11, nil, nil, 0); err != nil {
+		if err := CoarsenInPlace(c, 30, 11, nil, nil, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		var ms []hypergraph.Memento
@@ -86,7 +86,7 @@ func TestCoarsenInPlaceDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CoarsenInPlace(c, 30, 12, nil, nil, 0); err != nil {
+	if err := CoarsenInPlace(c, 30, 12, nil, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	diff := false
@@ -119,7 +119,7 @@ func TestCoarsenInPlaceWeightCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	const target = 10
-	if err := CoarsenInPlace(c, target, 1, nil, nil, 0); err != nil {
+	if err := CoarsenInPlace(c, target, 1, nil, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	capW := 4 * h.TotalNodeWeight() / target

@@ -126,7 +126,7 @@ func newContracted(h *Hypergraph, pool *Pool, inPlace bool) (*Contracted, error)
 	n, m := h.NumNodes(), h.NumNets()
 	for e := 0; e < m; e++ {
 		if h.NetSize(e) > maxContractNetSize {
-			return nil, fmt.Errorf("hypergraph: net %d has %d pins, above the n-level limit %d",
+			return nil, fmt.Errorf("hypergraph: net %d has %d pins, above the contraction limit %d",
 				e, h.NetSize(e), maxContractNetSize)
 		}
 	}

@@ -2,7 +2,6 @@ package multilevel
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"prop/internal/core"
@@ -72,45 +71,6 @@ func TestFMRefinerWorks(t *testing.T) {
 	}
 	if !bal.FeasibleWithSlack(b.SideWeight(0), h.TotalNodeWeight(), b.MaxNodeWeight()) {
 		t.Errorf("unbalanced: %d of %d", b.SideWeight(0), h.TotalNodeWeight())
-	}
-}
-
-// TestFlowRefinerWorks: the PROP→flow per-level refiner yields a feasible
-// partition no worse than plain PROP refinement of the same V-cycle (the
-// flow stage only ever adopts strictly better cuts), including on coarse
-// levels with weighted nets and nodes.
-func TestFlowRefinerWorks(t *testing.T) {
-	h := gen.MustGenerate(gen.Params{Nodes: 500, Nets: 540, Pins: 1850, Seed: 97})
-	bal := partition.Exact5050()
-	res, err := Partition(h, Config{Balance: bal, Refine: FlowRefiner(), Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := partition.NewBisection(h, res.Sides)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bal.FeasibleWithSlack(b.SideWeight(0), h.TotalNodeWeight(), b.MaxNodeWeight()) {
-		t.Errorf("unbalanced: %d of %d", b.SideWeight(0), h.TotalNodeWeight())
-	}
-	plain, err := Partition(h, Config{Balance: bal, Refine: PROPRefiner(), Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CutCost > plain.CutCost {
-		t.Errorf("flow-refined V-cycle (%g) worse than PROP-refined (%g)", res.CutCost, plain.CutCost)
-	}
-}
-
-// TestDescribe: the hierarchy summary shrinks monotonically.
-func TestDescribe(t *testing.T) {
-	h := gen.MustGenerate(gen.Params{Nodes: 600, Nets: 650, Pins: 2250, Seed: 98})
-	s, err := Describe(h, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(s, "600 -> ") {
-		t.Errorf("Describe = %q", s)
 	}
 }
 

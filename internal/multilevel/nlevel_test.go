@@ -1,11 +1,15 @@
 package multilevel
 
 import (
+	"context"
+	"errors"
+	"io"
 	"testing"
 
 	"prop/internal/cluster"
 	"prop/internal/gen"
 	"prop/internal/hypergraph"
+	"prop/internal/obs"
 	"prop/internal/partition"
 )
 
@@ -61,33 +65,68 @@ func TestNLevelDeterministic(t *testing.T) {
 	}
 }
 
-// TestNLevelInPlaceRestoresInput: after an in-place run the hypergraph is
-// bit-identical to a pristine build — pin order included — so a cached
-// hypergraph can be reused for the next job.
+// TestNLevelInPlaceRestoresInput: after an in-place run, in either mode,
+// the hypergraph is bit-identical to a pristine build — pin order
+// included — so a cached hypergraph can be reused for the next job.
 func TestNLevelInPlaceRestoresInput(t *testing.T) {
 	p := gen.Params{Nodes: 500, Nets: 540, Pins: 1850, Seed: 97}
-	h := gen.MustGenerate(p)
 	pristine := gen.MustGenerate(p)
-	if _, err := Partition(h, Config{Balance: partition.B4555(), Mode: ModeNLevel, InPlace: true, Seed: 3}); err != nil {
-		t.Fatal(err)
+	for _, mode := range []string{ModeVCycle, ModeNLevel} {
+		h := gen.MustGenerate(p)
+		if _, err := Partition(h, Config{Balance: partition.B4555(), Mode: mode, InPlace: true, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, mode, h, pristine)
 	}
+}
+
+// TestPartitionCtxCancelRestoresInput: a context cancelled mid-run — here
+// by the tracer's phase hook as the coarsest-level initial partition ends
+// — stops both modes with context.Canceled, and the in-place unwind still
+// hands the input back unchanged.
+func TestPartitionCtxCancelRestoresInput(t *testing.T) {
+	p := gen.Params{Nodes: 500, Nets: 540, Pins: 1850, Seed: 97}
+	pristine := gen.MustGenerate(p)
+	for _, mode := range []string{ModeVCycle, ModeNLevel} {
+		h := gen.MustGenerate(p)
+		ctx, cancel := context.WithCancel(context.Background())
+		tr := obs.New(io.Discard, obs.LevelRun).WithPhaseHook(func(ph obs.Phase) {
+			if ph.Name == "initial" {
+				cancel()
+			}
+		})
+		_, err := PartitionCtx(ctx, h, Config{
+			Balance: partition.B4555(), Mode: mode, InPlace: true, Seed: 3, Tracer: tr,
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", mode, err)
+		}
+		requireIdentical(t, mode, h, pristine)
+	}
+}
+
+// requireIdentical fails unless h matches pristine net for net, pin
+// order and node weights included, and still validates.
+func requireIdentical(t *testing.T, mode string, h, pristine *hypergraph.Hypergraph) {
+	t.Helper()
 	if err := h.Validate(); err != nil {
-		t.Fatalf("hypergraph corrupt after in-place run: %v", err)
+		t.Fatalf("%s: hypergraph corrupt after in-place run: %v", mode, err)
 	}
 	for e := 0; e < h.NumNets(); e++ {
 		got, want := h.Net(e), pristine.Net(e)
 		if len(got) != len(want) {
-			t.Fatalf("net %d size changed: %d vs %d", e, len(got), len(want))
+			t.Fatalf("%s: net %d size changed: %d vs %d", mode, e, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("net %d pin order changed at slot %d", e, i)
+				t.Fatalf("%s: net %d pin order changed at slot %d", mode, e, i)
 			}
 		}
 	}
 	for u := 0; u < h.NumNodes(); u++ {
 		if h.NodeWeight(u) != pristine.NodeWeight(u) {
-			t.Fatalf("node %d weight changed", u)
+			t.Fatalf("%s: node %d weight changed", mode, u)
 		}
 	}
 }
@@ -153,7 +192,7 @@ func TestNLevelArenaPoolReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cluster.CoarsenInPlace(c, 40, 7, pool, nil, 0); err != nil {
+		if err := cluster.CoarsenInPlace(c, 40, 7, nil, pool, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		scratch := make([]int32, 0, 64)

@@ -81,3 +81,36 @@ func checkMode(t *testing.T, n *prop.Netlist, ml *prop.MLParams, want golden) {
 			pg.cost, pg.bestRun, pg.hash, want.cost, want.bestRun, want.hash)
 	}
 }
+
+// TestMLPROPRejectsOverLimitNet: a net above the contraction view's
+// 65,536-pin limit is refused up front by both hierarchy modes. The
+// V-cycle used to accept it and then pay O(|e|²) for it in every
+// matching round.
+func TestMLPROPRejectsOverLimitNet(t *testing.T) {
+	const nodes, big = 70010, 70000
+	b := prop.NewBuilder()
+	b.EnsureNodes(nodes)
+	pins := make([]int, big)
+	for i := range pins {
+		pins[i] = i
+	}
+	if err := b.AddNet("huge", 1, pins...); err != nil {
+		t.Fatal(err)
+	}
+	for u := big - 1; u+1 < nodes; u++ {
+		if err := b.AddNet("", 1, u, u+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"vcycle", "nlevel"} {
+		if _, err := prop.Partition(n, prop.Options{
+			Algorithm: prop.AlgoMLPROP, Seed: 7, ML: &prop.MLParams{Mode: mode},
+		}); err == nil {
+			t.Errorf("%s accepted a %d-pin net", mode, big)
+		}
+	}
+}

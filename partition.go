@@ -188,11 +188,12 @@ type PROPParams struct {
 // MLParams exposes the knobs of AlgoMLPROP's multilevel hierarchy (zero
 // values select its defaults).
 type MLParams struct {
-	// Mode selects the hierarchy style: "vcycle" (the default) rebuilds a
-	// copied hypergraph per coarsening round and refines whole levels;
-	// "nlevel" records one contraction per level on a memento stack and
-	// refines lazily around just-uncontracted nodes, keeping peak memory
-	// O(pins) — the mode for million-node netlists.
+	// Mode selects the hierarchy style. Both contract node pairs in place
+	// on one memento stack. "vcycle" (the default) makes each matching
+	// round a level and refines whole levels; "nlevel" makes each
+	// contraction a level and refines lazily around just-uncontracted
+	// nodes, keeping peak memory O(pins) — the mode for million-node
+	// netlists.
 	Mode string
 	// CoarsestNodes stops coarsening at roughly this size (0 → 120).
 	CoarsestNodes int
@@ -243,8 +244,9 @@ func Partition(n *Netlist, o Options) (Result, error) {
 }
 
 // PartitionCtx bipartitions the netlist under a context: cancelling ctx
-// (or passing a deadline) aborts the multi-start portfolio between runs
-// and returns ctx's error. Runs execute concurrently per Options.Parallel.
+// (or passing a deadline) aborts the multi-start portfolio between runs,
+// and ml-prop between its levels and uncontraction batches, and returns
+// ctx's error. Runs execute concurrently per Options.Parallel.
 func PartitionCtx(ctx context.Context, n *Netlist, o Options) (Result, error) {
 	start := time.Now()
 	bal, err := o.balance()
@@ -303,7 +305,7 @@ func PartitionCtx(ctx context.Context, n *Netlist, o Options) (Result, error) {
 		}
 		o.Tracer.EmitRunStart(obs.RunStart{ID: o.TraceID, Run: 0})
 		mlStart := time.Now()
-		r, err := multilevel.Partition(n.h, cfg)
+		r, err := multilevel.PartitionCtx(ctx, n.h, cfg)
 		end := obs.RunEnd{ID: o.TraceID, Run: 0, Dur: time.Since(mlStart)}
 		if err != nil {
 			end.Err = err.Error()

@@ -2,6 +2,9 @@ package prop_test
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 
 	"prop"
@@ -87,5 +90,53 @@ func TestGoldenPhaseTracingInvariant(t *testing.T) {
 	}
 	if rep.Malformed != 0 || report.Flatten(rep)["multilevel"] == nil {
 		t.Errorf("run-level trace lacks a clean phase tree (malformed %d)", rep.Malformed)
+	}
+}
+
+// TestNLevelUncoarsenSegments: the n-level unwind emits one "uncoarsen"
+// span per checkpoint segment (a doubling of the alive count), so a
+// traced gen600 run carries several per cycle rather than one.
+// The trace passes cmd/tracecheck, and tracing leaves the cut and the
+// side assignment unchanged.
+func TestNLevelUncoarsenSegments(t *testing.T) {
+	n := nlevelCircuit(t, "gen600")
+	opts := prop.Options{Algorithm: prop.AlgoMLPROP, Seed: 7, ML: &prop.MLParams{Mode: "nlevel"}}
+	base, err := prop.Partition(n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	traced := opts
+	traced.Tracer = prop.NewTracer(&trace, prop.TracePasses)
+	res, err := prop.Partition(n, traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sideHash(res.Sides), sideHash(base.Sides); res.CutCost != base.CutCost || got != want {
+		t.Errorf("traced run: cut %g hash %#x, untraced cut %g hash %#x", res.CutCost, got, base.CutCost, want)
+	}
+	rep, err := report.Read(bytes.NewReader(trace.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One "initial" span opens each cycle; every cycle's unwind must be
+	// split into more than one segment.
+	flat := report.Flatten(rep)
+	init, un := flat["multilevel/initial"], flat["multilevel/uncoarsen"]
+	if init == nil || un == nil || un.Count <= init.Count {
+		t.Errorf("want more uncoarsen spans than cycles: initial %+v, uncoarsen %+v", init, un)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.jsonl")
+	if err := os.WriteFile(path, trace.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(dir, "tracecheck")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/tracecheck").CombinedOutput(); err != nil {
+		t.Fatalf("build tracecheck: %v\n%s", err, out)
+	}
+	if out, err := exec.Command(bin, path).CombinedOutput(); err != nil {
+		t.Errorf("tracecheck rejected the n-level trace: %v\n%s", err, out)
 	}
 }

@@ -50,6 +50,19 @@ if [ -n "$spawns" ]; then
 	exit 1
 fi
 
+echo "== hierarchy guard =="
+# One hierarchy representation: both ml-prop modes coarsen a
+# hypergraph.Contracted view, and a level graph is built only by
+# Contracted.CoarseGraph. A Builder in the coarsening or multilevel code
+# means a copying coarsener came back.
+builders=$(grep -rn --include='*.go' --exclude='*_test.go' \
+	'hypergraph\.NewBuilder' internal/cluster internal/multilevel || true)
+if [ -n "$builders" ]; then
+	echo "level graphs built outside Contracted.CoarseGraph:" >&2
+	echo "$builders" >&2
+	exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
