@@ -290,9 +290,9 @@ func BenchmarkHarnessQuick(b *testing.B) {
 
 // BenchmarkPassEngine times one full FM-bucket partition run on the largest
 // suite circuit from a fixed random start — the canonical workload of the
-// shared locked-move pass engine. scripts/bench.sh compares its per-op time
-// against the fm_pass_baseline_ns recorded in BENCH_hotpath.json and fails
-// when the engine regresses by more than 5%.
+// shared locked-move pass engine, for profiling and A/B runs with
+// go test -bench. The repository benchmark (perfbench) times FM on every
+// change through its suite workload's fm.fm_ms layer.
 func BenchmarkPassEngine(b *testing.B) {
 	c := circuit(b, "industry2")
 	bal := partition.Exact5050()

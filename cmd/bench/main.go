@@ -10,13 +10,14 @@
 //	bench -figure1             # only the Figure-1 numerics
 //	bench -scaling             # only the Θ(m log n) scaling study
 //	bench -ablation            # PROP design-choice ablations (§3 knobs)
+//	bench -incremental BENCH_incremental.json   # warm-vs-cold ECO study
+//	bench -scale BENCH_scale.json               # n-level 10k/100k/1M series, gated
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -36,13 +37,10 @@ func main() {
 		ablation   = flag.Bool("ablation", false, "print only the PROP ablation study")
 		exts       = flag.Bool("extensions", false, "print only the extensions study (multilevel, KL/SK, SA)")
 		balSweep   = flag.Bool("balance", false, "print only the balance-window sweep")
-		hotpath    = flag.String("hotpath", "", "run the hot-path timing study and write the JSON report to this file")
 		increment  = flag.String("incremental", "", "run the warm-vs-cold ECO repartitioning study and write the JSON report to this file")
-		flowStudy  = flag.String("flow", "", "run the PROP vs PROP+flow polish study on the golden circuits and write the JSON report to this file")
-		scaleStudy = flag.String("scale", "", "run the n-level scale study (nodes vs wall clock vs peak RSS, plus the golden-five quality gate) and write the JSON report to this file")
+		scaleStudy = flag.String("scale", "", "run the n-level scale study (nodes vs wall clock vs peak RSS, plus the golden-five quality gate), write the JSON report to this file and exit 1 if a gate fails")
 		scaleSizes = flag.String("scale-sizes", "", "with -scale, comma-separated node counts to measure (default 10000,100000,1000000)")
 		scaleRow   = flag.Int("scale-row", 0, "internal: measure one generated size in this process and print the row JSON (the -scale driver re-execs itself with this flag so each row gets its own peak-RSS accounting)")
-		trace      = flag.String("trace", "", "with -hotpath, write the traced series' JSONL events to this file (default: discard)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the requested work to this file")
 		maxNodes   = flag.Int("maxnodes", 0, "restrict suite to circuits with at most this many nodes")
 		runs       = flag.Int("runs", 0, "override base multi-start count")
@@ -63,51 +61,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *hotpath != "" {
-		r := *runs
-		if r == 0 {
-			r = 3
-		}
-		var progress *os.File
-		if *verbose {
-			progress = os.Stderr
-		}
-		var traceSink io.Writer
-		if *trace != "" {
-			tf, err := os.Create(*trace)
-			if err != nil {
-				fatal(err)
-			}
-			defer tf.Close()
-			traceSink = tf
-		}
-		rep, err := bench.RunHotpath(bench.DefaultHotpathCircuits(), r, *seed, traceSink, progress)
-		if err != nil {
-			fatal(err)
-		}
-		// Carry the pinned pass-engine baseline forward from any existing
-		// report: it is a fixed pre-refactor reference, not a re-measured
-		// quantity.
-		if old, err := os.Open(*hotpath); err == nil {
-			if prev, err := bench.ReadHotpath(old); err == nil {
-				rep.FMPassBaselineNS = prev.FMPassBaselineNS
-			}
-			old.Close()
-		}
-		f, err := os.Create(*hotpath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteHotpath(f, rep); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("hotpath report written to %s\n", *hotpath)
-		return
-	}
-
 	if *increment != "" {
 		r := *runs
 		if r == 0 {
@@ -117,7 +70,7 @@ func main() {
 		if *verbose {
 			progress = os.Stderr
 		}
-		rep, err := bench.RunIncremental(bench.DefaultHotpathCircuits(), bench.DefaultIncrementalFractions(), r, *seed, progress)
+		rep, err := bench.RunIncremental(bench.DefaultIncrementalCircuits(), bench.DefaultIncrementalFractions(), r, *seed, progress)
 		if err != nil {
 			fatal(err)
 		}
@@ -132,33 +85,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("incremental report written to %s\n", *increment)
-		return
-	}
-
-	if *flowStudy != "" {
-		r := *runs
-		if r == 0 {
-			r = 3
-		}
-		var progress *os.File
-		if *verbose {
-			progress = os.Stderr
-		}
-		rep, err := bench.RunFlow(bench.DefaultFlowCircuits(), r, *seed, progress)
-		if err != nil {
-			fatal(err)
-		}
-		f, err := os.Create(*flowStudy)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteFlow(f, rep); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("flow report written to %s\n", *flowStudy)
 		return
 	}
 
@@ -236,6 +162,9 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("scale report written to %s\n", *scaleStudy)
+		if err := bench.CheckScale(rep); err != nil {
+			fatal(err)
+		}
 		return
 	}
 

@@ -90,10 +90,10 @@ type server struct {
 	slowRun    time.Duration // warn when a job's compute exceeds this (0 disables)
 	batchMax   int           // max items per /v1/batch request (0 = unbounded)
 
-	store   *jobs.Store      // durable job records (journaled when configured)
-	rt      *runtimeTable    // per-job volatile state: cancel, trace, progress
-	sched   *sched.Scheduler // fair-share dispatch + per-tenant quotas
-	results cache.Backend    // /v1/partition result cache; nil when disabled
+	store   *jobs.Store                     // durable job records (journaled when configured)
+	rt      *runtimeTable                   // per-job volatile state: cancel, trace, progress
+	sched   *sched.Scheduler                // fair-share dispatch + per-tenant quotas
+	results *cache.Cache[cache.Key, []byte] // /v1/partition result cache; nil when disabled
 	start   time.Time
 	log     *slog.Logger
 
@@ -166,9 +166,9 @@ func newServer(cfg serverConfig, logger *slog.Logger) (*server, error) {
 	s.baseCtx, s.stopJobs = context.WithCancel(context.Background())
 	reg.Func("uptime_seconds", func() any { return int64(time.Since(s.start).Seconds()) })
 	if cfg.cacheSize > 0 {
-		s.results = cache.NewLRU(cfg.cacheSize)
-		reg.Func("result_cache_hits_total", func() any { h, _ := s.results.Stats(); return int64(h) })
-		reg.Func("result_cache_misses_total", func() any { _, m := s.results.Stats(); return int64(m) })
+		s.results = cache.New[cache.Key, []byte](cfg.cacheSize)
+		reg.Func("result_cache_hits_total", func() any { return int64(s.results.Hits()) })
+		reg.Func("result_cache_misses_total", func() any { return int64(s.results.Misses()) })
 		reg.Func("result_cache_entries", func() any { return int64(s.results.Len()) })
 	}
 	s.sched = sched.New(sched.Config{

@@ -609,7 +609,7 @@ func TestPartitionCacheHitIsByteIdentical(t *testing.T) {
 	if body1 != body2 {
 		t.Errorf("cache hit payload differs from populating miss:\n%s\nvs\n%s", body1, body2)
 	}
-	if h, m := s.results.Stats(); h != 1 || m != 1 {
+	if h, m := s.results.Hits(), s.results.Misses(); h != 1 || m != 1 {
 		t.Errorf("cache hits/misses = %d/%d, want 1/1", h, m)
 	}
 

@@ -107,8 +107,6 @@ func (o Options) Fingerprint() uint64 {
 	// last so pre-existing fingerprints (ML == nil) are unchanged.
 	if p := o.ML; p != nil {
 		_, _ = f.Write([]byte(p.Mode))
-		put(uint64(p.CoarsestNodes))
-		put(uint64(p.InitialRuns))
 		put(uint64(p.UncontractBatch))
 	}
 	return f.Sum64()

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -143,32 +144,45 @@ func TestMethodsProduceFeasibleCuts(t *testing.T) {
 	}
 }
 
-func TestRunHotpathPhaseWallMap(t *testing.T) {
-	rep, err := RunHotpath([]string{"balu"}, 2, 7, nil, nil)
+// TestCheckScale: each scale gate rejects a report that breaks it and
+// names itself in the error, and the committed BENCH_scale.json passes.
+func TestCheckScale(t *testing.T) {
+	f, err := os.Open("../../BENCH_scale.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DisabledPhaseNSPerOp <= 0 || rep.DisabledPhaseNSPerOp > 1000 {
-		t.Errorf("disabled_phase_ns_per_op = %g, want small positive", rep.DisabledPhaseNSPerOp)
+	defer f.Close()
+	committed, err := ReadScale(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(rep.Circuits) != 1 {
-		t.Fatalf("circuits = %d", len(rep.Circuits))
+	if err := CheckScale(committed); err != nil {
+		t.Errorf("committed BENCH_scale.json: %v", err)
 	}
-	c := rep.Circuits[0]
-	if c.PROPTraced == nil || c.PROPTraced.BestCut != c.PROP.BestCut {
-		t.Errorf("traced series drifted: %+v vs %+v", c.PROPTraced, c.PROP)
+
+	good := func() ScaleReport {
+		return ScaleReport{Rows: []ScaleRow{
+			{Nodes: 10_000, RSSOverArena: 6.4, CheckOK: true},
+			{Nodes: 1_000_000, RSSOverArena: 1.78, CheckOK: true},
+		}}
 	}
-	if c.PROPPortfolioPar1 == nil || c.PROPPortfolioPar2 == nil || len(c.PROPPortfolioPar2.RunMillis) != 2 || c.PortfolioSpeedupX <= 0 {
-		t.Errorf("portfolio series = %+v / %+v, speedup %g", c.PROPPortfolioPar1, c.PROPPortfolioPar2, c.PortfolioSpeedupX)
+	if err := CheckScale(good()); err != nil {
+		t.Errorf("passing report: %v", err)
 	}
-	// The traced runs were wrapped in a "prop" phase; its wall time sums
-	// over both runs and roughly tracks the traced series wall clock.
-	wall, ok := c.PhaseWallUS["prop"]
-	if !ok || wall <= 0 {
-		t.Fatalf("phase_wall_us = %v, want a positive prop entry", c.PhaseWallUS)
-	}
-	tracedUS := int64(c.PROPTraced.MeanMillis * float64(c.Runs) * 1000)
-	if wall > tracedUS*2 {
-		t.Errorf("prop phase wall %dµs exceeds traced series wall %dµs", wall, tracedUS)
+	noRows := ScaleReport{}
+	recount := good()
+	recount.Rows[0].CheckOK = false
+	rss := good()
+	rss.Rows[1].RSSOverArena = 2.01
+	worse := good()
+	worse.NLevelWorse = 1
+	for _, c := range []struct {
+		gate string
+		rep  ScaleReport
+	}{{"rows", noRows}, {"check_ok", recount}, {"rss_over_arena", rss}, {"nlevel_worse", worse}} {
+		err := CheckScale(c.rep)
+		if err == nil || !strings.Contains(err.Error(), "gate "+c.gate+":") {
+			t.Errorf("%s gate: CheckScale = %v, want an error naming it", c.gate, err)
+		}
 	}
 }

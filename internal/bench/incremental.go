@@ -20,9 +20,9 @@ import (
 // (multi-start random PROP, the cold path) against the warm-start chain
 // (warm.Chain: project the previous solution through the delta mapping,
 // complete it by connectivity, PROP from that state, FM/PROP polish to a
-// fixpoint). scripts/bench.sh writes the report to
-// BENCH_incremental.json; the acceptance bar is warm cut within 2% of
-// cold at ≤ 0.5× cold wall time on the 5% industry2 perturbation.
+// fixpoint). `cmd/bench -incremental BENCH_incremental.json` writes the
+// committed report; the acceptance bar is warm cut within 2% of cold at
+// ≤ 0.5× cold wall time on the 5% industry2 perturbation.
 
 // IncrementalRecord is one (circuit, perturbation fraction) measurement.
 type IncrementalRecord struct {
@@ -57,6 +57,10 @@ type IncrementalReport struct {
 	Runs       int                 `json:"runs"`
 	Records    []IncrementalRecord `json:"records"`
 }
+
+// DefaultIncrementalCircuits is the study's circuit set: the three
+// largest suite circuits, where a cold re-solve is most expensive.
+func DefaultIncrementalCircuits() []string { return []string{"biomed", "s15850", "industry2"} }
 
 // DefaultIncrementalFractions are the ECO sizes of the study: 1%, 5% and
 // 10% of the nodes churned.

@@ -3,6 +3,7 @@ package bench
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -24,11 +25,12 @@ import (
 // same seed). Each size row runs in a fresh subprocess (cmd/bench re-execs
 // itself) because VmHWM — the kernel's peak-RSS high-water mark — is
 // process-monotone: measuring three sizes in one process would report the
-// largest row's peak for all three. scripts/bench.sh writes the report to
-// BENCH_scale.json; the acceptance bars are "the 1M row completes with
-// peak RSS ≤ 2× the CSR arena footprint" — base graph plus the
-// hierarchy's own arenas, both recorded per row — and "n-level never
-// worse than V-cycle on the golden five".
+// largest row's peak for all three. `cmd/bench -scale BENCH_scale.json`
+// writes the committed report and then holds it to CheckScale: every
+// row's recount passes, the largest row peaks at ≤ 2× its CSR arena
+// footprint — base graph plus the hierarchy's own arenas, both recorded
+// per row — and n-level is never worse than the V-cycle on the golden
+// five.
 
 // ScaleRow is one generated-circuit measurement.
 type ScaleRow struct {
@@ -78,6 +80,36 @@ type ScaleReport struct {
 	Golden     []ScaleGolden `json:"golden"`
 	// NLevelWorse counts golden circuits where n-level lost (gate: 0).
 	NLevelWorse int `json:"nlevel_worse"`
+}
+
+// maxRSSOverArena is the memory gate on the largest row's RSSOverArena.
+const maxRSSOverArena = 2.0
+
+// CheckScale applies the study's gates to rep and returns an error naming
+// the first one that fails, by the report field it reads: a report with
+// no rows, a row whose check_ok recount failed, a last (largest) row whose
+// rss_over_arena exceeds 2, or a non-zero nlevel_worse.
+func CheckScale(rep ScaleReport) error {
+	if len(rep.Rows) == 0 {
+		return errors.New("bench: scale gate rows: the report has no rows")
+	}
+	failed := 0
+	for _, row := range rep.Rows {
+		if !row.CheckOK {
+			failed++
+		}
+	}
+	if failed > 0 {
+		return fmt.Errorf("bench: scale gate check_ok: %d of %d rows failed the cut recount", failed, len(rep.Rows))
+	}
+	if last := rep.Rows[len(rep.Rows)-1]; last.RSSOverArena > maxRSSOverArena {
+		return fmt.Errorf("bench: scale gate rss_over_arena: the %d-node row peaked at %.2fx its arena footprint (want <= %gx)",
+			last.Nodes, last.RSSOverArena, maxRSSOverArena)
+	}
+	if rep.NLevelWorse > 0 {
+		return fmt.Errorf("bench: scale gate nlevel_worse: n-level lost to the V-cycle on %d golden circuits (want 0)", rep.NLevelWorse)
+	}
+	return nil
 }
 
 // DefaultScaleSizes is the published series: 10k, 100k, 1M nodes.

@@ -10,6 +10,21 @@ import (
 	"sync/atomic"
 )
 
+// Key is the content-addressed identity of one partitioning result: the
+// netlist and options fingerprints plus the part count, with a Kind
+// discriminator separating result families (sync partitions, warm
+// repartitions, ...) that happen to share fingerprints. Two requests with
+// equal Keys are guaranteed to produce bit-identical payloads — the
+// engine is deterministic in everything a Key captures, and knobs that do
+// not change the result (parallelism, tracing) are deliberately excluded
+// from the fingerprints.
+type Key struct {
+	Kind    string
+	Netlist uint64
+	Options uint64
+	K       int
+}
+
 // Cache is a fixed-capacity LRU map. The zero value is not usable; call
 // New. All methods are safe for concurrent use.
 type Cache[K comparable, V any] struct {

@@ -83,13 +83,13 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestLRUBackend(t *testing.T) {
-	b := NewLRU(2)
+	b := New[Key, []byte](2)
 	k1 := Key{Kind: "partition", Netlist: 1, Options: 2, K: 2}
 	k2 := Key{Kind: "partition", Netlist: 1, Options: 2, K: 4}
 	k3 := Key{Kind: "repartition", Netlist: 1, Options: 2, K: 2}
 
 	if _, ok := b.Get(k1); ok {
-		t.Fatal("empty backend hit")
+		t.Fatal("empty cache hit")
 	}
 	b.Put(k1, []byte("r1"))
 	b.Put(k2, []byte("r2"))
@@ -108,8 +108,7 @@ func TestLRUBackend(t *testing.T) {
 	if b.Len() != 2 {
 		t.Errorf("Len = %d, want 2", b.Len())
 	}
-	hits, misses := b.Stats()
-	if hits != 2 || misses != 2 {
-		t.Errorf("Stats = %d/%d, want 2/2", hits, misses)
+	if hits, misses := b.Hits(), b.Misses(); hits != 2 || misses != 2 {
+		t.Errorf("hits/misses = %d/%d, want 2/2", hits, misses)
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // The hot-path microbenchmarks behind EXPERIMENTS.md's before/after table:
 // the fused flat gain kernel, the exact product rebuild, the refinement
-// fixpoint and one full PROP pass. Run via scripts/bench.sh (or
-// go test -bench=. ./internal/core).
+// fixpoint and one full PROP pass. Run with
+// go test -run=NONE -bench=. -benchmem ./internal/core.
 
 func benchCircuit(b *testing.B) *hypergraph.Hypergraph {
 	b.Helper()

@@ -18,15 +18,6 @@ type Graph struct {
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.Adj) }
 
-// WeightedDegree returns Σ_w of edges incident to u.
-func (g *Graph) WeightedDegree(u int) float64 {
-	var d float64
-	for _, e := range g.Adj[u] {
-		d += e.Weight
-	}
-	return d
-}
-
 // CliqueExpand converts the hypergraph to a graph using the standard
 // 1/(|e|−1) clique model: a net e of cost c and size q contributes an edge
 // of weight c/(q−1) between every pin pair, so that cutting the net in two

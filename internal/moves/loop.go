@@ -90,15 +90,11 @@ func (l *Loop) RunPass() (float64, int, int) {
 	return gmax, l.log.Len(), p
 }
 
-// SelectBest picks the unlocked node with the maximum key whose move keeps
-// balance; if the overall best violates balance, the best node of the
-// other subset is taken (paper §2, step 6 of Fig. 2). The per-side
-// CanMoveFrom pre-check skips a side's entire scan when no node of that
-// side can legally move.
-func SelectBest(b *partition.Bisection, bal partition.Balance, side [2]Container, key func(u int) float64) (int, bool) {
-	return selectBest(b, bal, side, key, func(u int) bool { return b.CanMove(u, bal) })
-}
-
+// selectBest picks the unlocked node with the maximum key that passes
+// feas; if the overall best is infeasible, the best node of the other
+// subset is taken (paper §2, step 6 of Fig. 2). The per-side CanMoveFrom
+// pre-check skips a side's entire scan when no node of that side can
+// legally move.
 func selectBest(b *partition.Bisection, bal partition.Balance, side [2]Container, key func(u int) float64, feas func(u int) bool) (int, bool) {
 	var u0, u1 int
 	var ok0, ok1 bool

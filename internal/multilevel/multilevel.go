@@ -71,6 +71,10 @@ const (
 	// complete cfg.Refine pass. Million-node runs skip it above that size
 	// — the localized batches have already refined every boundary.
 	polishMaxNodes = 20000
+	// coarsestNodes stops coarsening at roughly this many alive nodes.
+	coarsestNodes = 120
+	// initialRuns is the multi-start count at the coarsest level.
+	initialRuns = 10
 )
 
 // Config controls the hierarchy.
@@ -78,10 +82,6 @@ type Config struct {
 	Balance partition.Balance
 	// Mode selects the hierarchy style: ModeVCycle (default) or ModeNLevel.
 	Mode string
-	// CoarsestNodes stops coarsening at roughly this size (0 → 120).
-	CoarsestNodes int
-	// InitialRuns is the multi-start count at the coarsest level (0 → 10).
-	InitialRuns int
 	// UncontractBatch (n-level only) is how many mementos are popped
 	// between localized refinement episodes (0 → 64). Smaller batches
 	// refine more often; larger ones amortize heap fills.
@@ -138,12 +138,6 @@ func Partition(h *hypergraph.Hypergraph, cfg Config) (Result, error) {
 func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config) (Result, error) {
 	if err := cfg.Balance.Validate(); err != nil {
 		return Result{}, err
-	}
-	if cfg.CoarsestNodes == 0 {
-		cfg.CoarsestNodes = 120
-	}
-	if cfg.InitialRuns == 0 {
-		cfg.InitialRuns = 10
 	}
 	if cfg.UncontractBatch == 0 {
 		cfg.UncontractBatch = 64
@@ -214,7 +208,7 @@ type hierarchy struct {
 // revived node inherits its representative's side), then materialize,
 // repair and refine the finer level.
 func (r *hierarchy) vcycle(ctx context.Context) error {
-	bounds, err := cluster.CoarsenRounds(r.c, r.cfg.CoarsestNodes, r.cfg.Seed, r.pool, r.cfg.Tracer, r.cfg.TraceRun)
+	bounds, err := cluster.CoarsenRounds(r.c, coarsestNodes, r.cfg.Seed, r.pool, r.cfg.Tracer, r.cfg.TraceRun)
 	if err != nil {
 		return err
 	}
@@ -241,7 +235,7 @@ func (r *hierarchy) vcycle(ctx context.Context) error {
 	return nil
 }
 
-// initial partitions the current level from InitialRuns random starts,
+// initial partitions the current level from initialRuns random starts,
 // keeps the best refinement and returns its cut.
 func (r *hierarchy) initial(ctx context.Context, seed int64) (float64, error) {
 	sp := r.cfg.Tracer.StartPhase(r.cfg.TraceRun, "initial")
@@ -252,7 +246,7 @@ func (r *hierarchy) initial(ctx context.Context, seed int64) (float64, error) {
 	}
 	var best []uint8
 	bestCut := -1.0
-	for i := 0; i < r.cfg.InitialRuns; i++ {
+	for i := 0; i < initialRuns; i++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}

@@ -28,7 +28,7 @@ func (r *hierarchy) nlevel(ctx context.Context) error {
 		if iter > 0 {
 			within = r.sides
 		}
-		if err := cluster.CoarsenInPlace(r.c, cfg.CoarsestNodes, seed, within, r.pool, cfg.Tracer, cfg.TraceRun); err != nil {
+		if err := cluster.CoarsenInPlace(r.c, coarsestNodes, seed, within, r.pool, cfg.Tracer, cfg.TraceRun); err != nil {
 			return err
 		}
 		if iter > 0 && r.c.Depth() == 0 {

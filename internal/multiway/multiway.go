@@ -7,36 +7,16 @@ package multiway
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"prop/internal/engine"
 	"prop/internal/hypergraph"
 	"prop/internal/partition"
-	"prop/internal/refine"
 )
 
 // Bipartitioner produces a side assignment for a (sub)hypergraph. seed
 // varies per recursion node so multi-start partitioners diversify. ctx
 // carries cancellation from the recursive driver.
 type Bipartitioner func(ctx context.Context, h *hypergraph.Hypergraph, bal partition.Balance, seed int64) ([]uint8, error)
-
-// AlgoCut returns a Bipartitioner that runs one locked-move engine (see
-// refine.Algorithms) from a seeded random initial assignment — the
-// convenience cutter for driving the recursive driver directly off the
-// shared move-engine layer. laDepth configures "la"; maxPasses 0 runs each
-// bisection to convergence.
-func AlgoCut(algo string, laDepth, maxPasses int) Bipartitioner {
-	return func(_ context.Context, h *hypergraph.Hypergraph, bal partition.Balance, seed int64) ([]uint8, error) {
-		initial := partition.RandomSides(h, bal, rand.New(rand.NewSource(seed)))
-		res, err := refine.Bipartition(h, initial, refine.Options{
-			Algorithm: algo, Balance: bal, LADepth: laDepth, MaxPasses: maxPasses,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return res.Sides, nil
-	}
-}
 
 // Config controls the recursive driver.
 type Config struct {

@@ -515,15 +515,3 @@ func Diff(old, new *RunReport, o DiffOptions) []Regression {
 	}
 	return out
 }
-
-// PhaseWallMap returns the flattened path → wall-µs map, the
-// machine-readable per-phase breakdown bench.sh records into
-// BENCH_hotpath.json.
-func PhaseWallMap(rep *RunReport) map[string]int64 {
-	flat := Flatten(rep)
-	out := make(map[string]int64, len(flat))
-	for p, n := range flat {
-		out[p] = n.WallUS
-	}
-	return out
-}

@@ -195,10 +195,6 @@ type MLParams struct {
 	// nodes, keeping peak memory O(pins) — the mode for million-node
 	// netlists.
 	Mode string
-	// CoarsestNodes stops coarsening at roughly this size (0 → 120).
-	CoarsestNodes int
-	// InitialRuns is the multi-start count at the coarsest level (0 → 10).
-	InitialRuns int
 	// UncontractBatch (nlevel only) is how many uncontractions are popped
 	// between localized refinement episodes (0 → 64).
 	UncontractBatch int
@@ -299,8 +295,6 @@ func PartitionCtx(ctx context.Context, n *Netlist, o Options) (Result, error) {
 		}
 		if p := o.ML; p != nil {
 			cfg.Mode = p.Mode
-			cfg.CoarsestNodes = p.CoarsestNodes
-			cfg.InitialRuns = p.InitialRuns
 			cfg.UncontractBatch = p.UncontractBatch
 		}
 		o.Tracer.EmitRunStart(obs.RunStart{ID: o.TraceID, Run: 0})

@@ -155,28 +155,50 @@ if ! grep -q "phase coverage" "$tracedir/report.txt"; then
 fi
 
 echo "== serve smoke =="
-# Scale-out serving end to end: propserve on a free port with a journal,
-# a two-tenant async propload burst through the batch/scheduler path,
-# non-zero throughput, a clean SIGTERM drain, and a restart on the same
-# journal that still serves (replay works on a non-empty journal).
+# Scale-out serving end to end, driven with curl: propserve on a free port
+# with a journal; tenants t0 and t1 each post a single-item /v1/batch (the
+# durable path: per-tenant quota, journal, fair-share scheduler) and every
+# streamed NDJSON line must read "ok":true; SIGTERM must drain cleanly and
+# exit 0 with a journal segment left behind; and a second boot on the same
+# journal (replay of a non-empty journal) must answer a sync /v1/partition.
 go build -o "$tracedir/propserve" ./cmd/propserve
-go build -o "$tracedir/propload" ./cmd/propload
-"$tracedir/propserve" -addr 127.0.0.1:0 -journal "$tracedir/journal" \
-	2>"$tracedir/serve.log" &
-serve_pid=$!
-serve_addr=
-for _ in $(seq 1 100); do
-	serve_addr=$(sed -n 's/.*listening on \([^ ]*\).*/\1/p' "$tracedir/serve.log" | head -1)
-	[ -n "$serve_addr" ] && break
-	sleep 0.1
-done
-if [ -z "$serve_addr" ]; then
+go run ./cmd/circgen -nodes 400 -nets 420 -pins 1400 -seed 3 -format json \
+	-out "$tracedir/serve_netlist.json"
+{
+	printf '{"items":[{"netlist":'
+	cat "$tracedir/serve_netlist.json"
+	printf '}]}'
+} >"$tracedir/serve_batch.json"
+# start_propserve LOG: boot propserve on a free port against the smoke
+# journal, logging to LOG; sets serve_pid and serve_addr.
+start_propserve() {
+	"$tracedir/propserve" -addr 127.0.0.1:0 -journal "$tracedir/journal" 2>"$1" &
+	serve_pid=$!
+	serve_addr=
+	for _ in $(seq 1 100); do
+		serve_addr=$(sed -n 's/.*listening on \([^ ]*\).*/\1/p' "$1" | head -1)
+		[ -n "$serve_addr" ] && return 0
+		sleep 0.1
+	done
 	echo "serve smoke: propserve never announced an address" >&2
-	cat "$tracedir/serve.log" >&2
+	cat "$1" >&2
 	exit 1
-fi
-"$tracedir/propload" -addr "http://$serve_addr" -mode async \
-	-levels 1,4 -duration 1s -tenants 2 -out "$tracedir/serve_smoke.json"
+}
+# A failed check exits through the EXIT trap, which must not leave a
+# server running.
+trap 'kill ${serve_pid:-} 2>/dev/null || true; rm -rf "$tracedir"' EXIT
+start_propserve "$tracedir/serve.log"
+for tenant in t0 t1; do
+	curl -sS -N --fail -X POST -H 'Content-Type: application/json' \
+		-H "X-Tenant: $tenant" --data-binary @"$tracedir/serve_batch.json" \
+		"http://$serve_addr/v1/batch?algo=prop&runs=2&seed=9" >"$tracedir/batch_$tenant.ndjson"
+	if ! [ -s "$tracedir/batch_$tenant.ndjson" ] ||
+		grep -qv '"ok":true' "$tracedir/batch_$tenant.ndjson"; then
+		echo "serve smoke: tenant $tenant's batch did not stream ok lines:" >&2
+		cat "$tracedir/batch_$tenant.ndjson" >&2
+		exit 1
+	fi
+done
 kill -TERM "$serve_pid"
 if ! wait "$serve_pid"; then
 	echo "serve smoke: propserve exited non-zero after SIGTERM" >&2
@@ -189,31 +211,25 @@ if ! grep -q "drained cleanly" "$tracedir/serve.log"; then
 	exit 1
 fi
 if ! ls "$tracedir/journal"/*.ndjson >/dev/null 2>&1; then
-	echo "serve smoke: the async burst left no journal segments" >&2
+	echo "serve smoke: the batches left no journal segments" >&2
 	exit 1
 fi
 # Second boot on the same journal: replay must come up and serve.
-"$tracedir/propserve" -addr 127.0.0.1:0 -journal "$tracedir/journal" \
-	2>"$tracedir/serve2.log" &
-serve_pid=$!
-serve_addr=
-for _ in $(seq 1 100); do
-	serve_addr=$(sed -n 's/.*listening on \([^ ]*\).*/\1/p' "$tracedir/serve2.log" | head -1)
-	[ -n "$serve_addr" ] && break
-	sleep 0.1
-done
-if [ -z "$serve_addr" ]; then
-	echo "serve smoke: restart on the replayed journal failed" >&2
-	cat "$tracedir/serve2.log" >&2
+start_propserve "$tracedir/serve2.log"
+code=$(curl -sS -o "$tracedir/partition.json" -w '%{http_code}' -X POST \
+	-H 'Content-Type: application/json' --data-binary @"$tracedir/serve_netlist.json" \
+	"http://$serve_addr/v1/partition?algo=prop&runs=2&seed=9")
+if [ "$code" != 200 ]; then
+	echo "serve smoke: restart on the replayed journal answered $code:" >&2
+	cat "$tracedir/partition.json" "$tracedir/serve2.log" >&2
 	exit 1
 fi
-"$tracedir/propload" -addr "http://$serve_addr" -mode sync \
-	-levels 1 -duration 1s -tenants 2 -out "$tracedir/serve_smoke2.json"
 kill -TERM "$serve_pid"
 wait "$serve_pid" || {
 	echo "serve smoke: second propserve exited non-zero" >&2
 	exit 1
 }
+serve_pid=
 
 echo "== n-level scale smoke =="
 # Million-node-class readiness on CI hardware: generate a 100k-node
