@@ -797,6 +797,8 @@ func (s *server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mReqUp.Add(1)
 	defer s.mReqUp.Add(-1)
+	// As in handlePartition: a discard tracer feeds phase_duration_ms.
+	req.opts.Tracer = prop.NewTracer(io.Discard, prop.TraceRuns).WithPhaseHook(s.observePhase)
 	resp, status, err := s.runRepartition(r.Context(), req, &body, obs.RunID(r.Context()))
 	if err != nil {
 		s.fail(w, status, err)

@@ -1143,6 +1143,46 @@ func TestPhaseDurationMetrics(t *testing.T) {
 	}
 }
 
+// TestRepartitionPhaseMetrics checks that a sync /v1/repartition feeds
+// phase_duration_ms like the other compute paths: its warm PROP run and
+// its polish rounds both land in the histogram family.
+func TestRepartitionPhaseMetrics(t *testing.T) {
+	ts := newTestServer(t)
+	n, err := prop.Generate(prop.GenParams{Nodes: 120, Nets: 140, Pins: 480, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := prop.Partition(n, prop.Options{Runs: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &prop.Delta{Recost: []prop.DeltaNetCost{{Net: 0, Cost: 3}}}
+	resp, err := http.Post(ts.URL+"/v1/repartition?runs=1&seed=1", "application/json",
+		bytes.NewReader(repartitionBody(t, n, prev.Sides, d)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("status %d: %s", resp.StatusCode, msg)
+	}
+	resp.Body.Close()
+
+	r, err := http.Get(ts.URL + "/metrics?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := decodeBody[map[string]any](t, r)
+	fam, _ := m["phase_duration_ms"].(map[string]any)
+	for _, phase := range []string{"prop", "polish"} {
+		child, ok := fam[phase].(map[string]any)
+		if count, _ := child["count"].(float64); !ok || count < 1 {
+			t.Errorf("phase_duration_ms[%s] = %v, want count >= 1", phase, fam[phase])
+		}
+	}
+}
+
 // syncWriter serializes writes from the server's logging goroutines.
 type syncWriter struct {
 	mu sync.Mutex

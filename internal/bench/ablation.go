@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"time"
 
 	"prop/internal/core"
@@ -20,7 +21,9 @@ type ablationVariant struct {
 // DESIGN.md §5) — probability seeding method, number of gain↔probability
 // refinement iterations, top-K refresh width, probability clamps and gain
 // thresholds — and reports best-of-10 cuts and per-run times on three
-// mid-size suite circuits.
+// mid-size suite circuits. It drives core.Partition directly rather than
+// prop.Partition: the refinements=0 and topK=0 variants are zero values,
+// which prop.PROPParams reads as "use the paper's default".
 func WriteAblation(w io.Writer, seed int64) error {
 	variants := []ablationVariant{
 		{"paper-default", func(*core.Config) {}},
@@ -46,13 +49,13 @@ func WriteAblation(w io.Writer, seed int64) error {
 	}
 	fmt.Fprintf(w, " %12s\n", "total s/run")
 
-	hs := map[string]*genCircuit{}
+	hs := map[string]gen.Circuit{}
 	for _, name := range circuits {
 		c, err := gen.SuiteCircuit(specOf(name))
 		if err != nil {
 			return err
 		}
-		hs[name] = &genCircuit{c}
+		hs[name] = c
 	}
 
 	for _, v := range variants {
@@ -66,7 +69,8 @@ func WriteAblation(w io.Writer, seed int64) error {
 			best := -1.0
 			start := time.Now()
 			for r := 0; r < runs; r++ {
-				b, err := randomStart(c.c.H, bal, seed+int64(r))
+				sides := partition.RandomSides(c.H, bal, rand.New(rand.NewSource(seed+int64(r))))
+				b, err := partition.NewBisection(c.H, sides)
 				if err != nil {
 					return err
 				}
@@ -86,5 +90,3 @@ func WriteAblation(w io.Writer, seed int64) error {
 	}
 	return nil
 }
-
-type genCircuit struct{ c gen.Circuit }

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"prop/internal/core"
-	"prop/internal/gen"
+	"prop"
 	"prop/internal/partition"
 )
 
@@ -34,25 +33,15 @@ func WriteBalanceSweep(w io.Writer, seed int64) error {
 	for _, bal := range windows {
 		fmt.Fprintf(w, "%-12s", bal.String())
 		for _, name := range circuits {
-			c, err := gen.SuiteCircuit(specOf(name))
+			n, err := prop.Benchmark(name)
 			if err != nil {
 				return err
 			}
-			best := -1.0
-			for r := 0; r < runs; r++ {
-				b, err := randomStart(c.H, bal, seed+int64(r))
-				if err != nil {
-					return err
-				}
-				res, err := core.Partition(b, core.DefaultConfig(bal))
-				if err != nil {
-					return err
-				}
-				if best < 0 || res.CutCost < best {
-					best = res.CutCost
-				}
+			res, err := prop.Partition(n, prop.Options{R1: bal.R1, R2: bal.R2, Runs: runs, Seed: seed, Parallel: 1})
+			if err != nil {
+				return err
 			}
-			fmt.Fprintf(w, " %9.0f", best)
+			fmt.Fprintf(w, " %9.0f", res.CutCost)
 		}
 		fmt.Fprintln(w)
 	}

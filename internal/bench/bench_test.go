@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"prop"
 	"prop/internal/gen"
 	"prop/internal/partition"
 )
@@ -117,21 +118,37 @@ func TestWriteScalingRuns(t *testing.T) {
 	}
 }
 
-// TestMethodsProduceFeasibleCuts: every Method constructor yields runs
-// whose cuts are ≥ 0 and deterministic in the seed.
+// TestMethodsProduceFeasibleCuts: every kind of Method yields runs whose
+// cuts are ≥ 0 and deterministic in the seed, with one cut per run for
+// the multi-start methods and the result's cut for the rest.
 func TestMethodsProduceFeasibleCuts(t *testing.T) {
-	h := gen.MustGenerate(gen.Params{Nodes: 220, Nets: 240, Pins: 820, Seed: 91})
+	n, err := prop.Generate(prop.GenParams{Nodes: 220, Nets: 240, Pins: 820, Seed: 91})
+	if err != nil {
+		t.Fatal(err)
+	}
 	bal := partition.Exact5050()
-	for _, m := range []Method{
-		PROPMethod(2), LAMethod(2, 2), WindowMethod(2), EIG1Method(), MELOMethod(), ParaboliMethod(),
+	for _, c := range []struct {
+		m    Method
+		cuts int
+	}{
+		{Method{Name: "PROP", Algo: prop.AlgoPROP, Runs: 2}, 2},
+		{Method{Name: "LA-2", Algo: prop.AlgoLA, Runs: 2, LADepth: 2}, 2},
+		{Method{Name: "WINDOW", Algo: prop.AlgoWindow, Runs: 2}, 1},
+		{Method{Name: "EIG1", Algo: prop.AlgoEIG1}, 1},
+		{Method{Name: "MELO", Algo: prop.AlgoMELO}, 1},
+		{Method{Name: "Paraboli", Algo: prop.AlgoParaboli}, 1},
 	} {
-		s1, err := RunSeries(h, bal, m, 7)
+		m := c.m
+		s1, err := RunSeries(n, bal, m, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
-		s2, err := RunSeries(h, bal, m, 7)
+		s2, err := RunSeries(n, bal, m, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
+		}
+		if len(s1.Cuts) != c.cuts {
+			t.Errorf("%s: %d cuts, want %d", m.Name, len(s1.Cuts), c.cuts)
 		}
 		for i := range s1.Cuts {
 			if s1.Cuts[i] < 0 {
@@ -141,6 +158,58 @@ func TestMethodsProduceFeasibleCuts(t *testing.T) {
 				t.Errorf("%s: nondeterministic run %d: %g vs %g", m.Name, i, s1.Cuts[i], s2.Cuts[i])
 			}
 		}
+	}
+}
+
+// TestRunIncrementalSmall: the ECO study measures the product path. Its
+// warm cut is prop.Repartition at Runs 1 from the base portfolio's sides,
+// and its cold cut is prop.Partition on the edited netlist at seed+1.
+func TestRunIncrementalSmall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("incremental run")
+	}
+	const runs, seed, frac = 2, 5, 0.05
+	rep, err := RunIncremental([]string{"balu"}, []float64{frac}, runs, seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Records) != 1 {
+		t.Fatalf("records = %d, want 1", len(rep.Records))
+	}
+	rec := rep.Records[0]
+
+	base, err := prop.Benchmark("balu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := gen.SuiteCircuit(specOf("balu"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := gen.ECO(c.H, gen.ECOParams{Fraction: frac, Seed: seed + int64(frac*1000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := prop.Partition(base, prop.Options{Runs: runs, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited, warm, err := prop.Repartition(base, prev.Sides, d, prop.Options{Runs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := prop.Partition(edited, prop.Options{Runs: runs, Seed: seed + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Name != "balu" || rec.Fraction != frac || rec.Nodes != edited.NumNodes() || rec.Nets != edited.NumNets() {
+		t.Errorf("record = %+v, want balu at %g on %d nodes, %d nets", rec, frac, edited.NumNodes(), edited.NumNets())
+	}
+	if rec.WarmCut != warm.CutCost {
+		t.Errorf("warm_cut = %g, prop.Repartition at Runs 1 = %g", rec.WarmCut, warm.CutCost)
+	}
+	if rec.ColdCut != cold.CutCost {
+		t.Errorf("cold_cut = %g, prop.Partition at Runs %d = %g", rec.ColdCut, runs, cold.CutCost)
 	}
 }
 

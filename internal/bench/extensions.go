@@ -3,16 +3,12 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
-	"prop/internal/anneal"
+	"prop"
 	"prop/internal/gen"
-	"prop/internal/hypergraph"
-	"prop/internal/kl"
 	"prop/internal/multilevel"
 	"prop/internal/partition"
-	"prop/internal/sk"
 )
 
 // WriteExtensions compares the extension systems against flat PROP on
@@ -23,41 +19,19 @@ import (
 func WriteExtensions(w io.Writer, seed int64) error {
 	circuits := []string{"balu", "struct", "t3"}
 	const runs = 10
-	bal := partition.Exact5050()
-
-	type method struct {
+	methods := []struct {
 		name string
+		// algo is the row's prop algorithm; "" marks ML-FM, the V-cycle
+		// with FM refinement, which only multilevel.Config.Refine selects.
+		algo prop.Algorithm
 		runs int
-		run  func(h *hypergraph.Hypergraph, s int64) (float64, error)
-	}
-	methods := []method{
-		{"PROP (flat)", runs, func(h *hypergraph.Hypergraph, s int64) (float64, error) {
-			m := PROPMethod(1)
-			return m.Run(h, bal, s)
-		}},
-		{"ML-PROP", 3, func(h *hypergraph.Hypergraph, s int64) (float64, error) {
-			r, err := multilevel.Partition(h, multilevel.Config{Balance: bal, Seed: s})
-			return r.CutCost, err
-		}},
-		{"ML-FM", 3, func(h *hypergraph.Hypergraph, s int64) (float64, error) {
-			r, err := multilevel.Partition(h, multilevel.Config{Balance: bal, Refine: multilevel.FMRefiner(), Seed: s})
-			return r.CutCost, err
-		}},
-		{"KL", runs, func(h *hypergraph.Hypergraph, s int64) (float64, error) {
-			rng := rand.New(rand.NewSource(s))
-			r, err := kl.Partition(h, partition.RandomSides(h, bal, rng), kl.Config{})
-			return r.CutCost, err
-		}},
-		{"SK", runs, func(h *hypergraph.Hypergraph, s int64) (float64, error) {
-			rng := rand.New(rand.NewSource(s))
-			r, err := sk.Partition(h, partition.RandomSides(h, bal, rng), sk.Config{})
-			return r.CutCost, err
-		}},
-		{"SA", 3, func(h *hypergraph.Hypergraph, s int64) (float64, error) {
-			rng := rand.New(rand.NewSource(s))
-			r, err := anneal.Partition(h, partition.RandomSides(h, bal, rng), anneal.Config{Balance: bal, Seed: s})
-			return r.CutCost, err
-		}},
+	}{
+		{"PROP (flat)", prop.AlgoPROP, runs},
+		{"ML-PROP", prop.AlgoMLPROP, 3},
+		{"ML-FM", "", 3},
+		{"KL", prop.AlgoKL, runs},
+		{"SK", prop.AlgoSK, runs},
+		{"SA", prop.AlgoSA, 3},
 	}
 
 	fmt.Fprintln(w, "Extensions study: paper §1 families and the §5 multilevel proposal")
@@ -70,16 +44,34 @@ func WriteExtensions(w io.Writer, seed int64) error {
 	for _, m := range methods {
 		fmt.Fprintf(w, "%-12s", m.name)
 		for _, name := range circuits {
+			n, err := prop.Benchmark(name)
+			if err != nil {
+				return err
+			}
 			c, err := gen.SuiteCircuit(specOf(name))
 			if err != nil {
 				return err
 			}
 			best := -1.0
 			start := time.Now()
+			// One call per run, seed+r: ML-PROP is a single run per call,
+			// so the rows share this loop rather than Options.Runs.
 			for r := 0; r < m.runs; r++ {
-				cut, err := m.run(c.H, seed+int64(r))
-				if err != nil {
-					return err
+				var cut float64
+				if m.algo == "" {
+					res, err := multilevel.Partition(c.H, multilevel.Config{
+						Balance: partition.Exact5050(), Refine: multilevel.FMRefiner(), Seed: seed + int64(r),
+					})
+					if err != nil {
+						return err
+					}
+					cut = res.CutCost
+				} else {
+					res, err := prop.Partition(n, prop.Options{Algorithm: m.algo, Seed: seed + int64(r), Parallel: 1})
+					if err != nil {
+						return err
+					}
+					cut = res.CutCost
 				}
 				if best < 0 || cut < best {
 					best = cut

@@ -7,20 +7,18 @@ import (
 	"runtime"
 	"time"
 
-	"prop/internal/core"
+	"prop"
 	"prop/internal/gen"
-	"prop/internal/hypergraph"
-	"prop/internal/partition"
-	"prop/internal/warm"
 )
 
 // The incremental study measures the ECO repartitioning path end to end:
 // partition a suite circuit from scratch, perturb it with a generated
 // engineering change order, then compare re-partitioning from scratch
-// (multi-start random PROP, the cold path) against the warm-start chain
-// (warm.Chain: project the previous solution through the delta mapping,
-// complete it by connectivity, PROP from that state, FM/PROP polish to a
-// fixpoint). `cmd/bench -incremental BENCH_incremental.json` writes the
+// (prop.Partition, multi-start random PROP: the cold path) against
+// prop.Repartition at Runs 1 (apply the delta, project the previous
+// solution through its mapping, complete it by connectivity, PROP from
+// that state, FM/PROP polish to a fixpoint: the warm path). Both run at
+// Parallel 1. `cmd/bench -incremental BENCH_incremental.json` writes the
 // committed report; the acceptance bar is warm cut within 2% of cold at
 // ≤ 0.5× cold wall time on the 5% industry2 perturbation.
 
@@ -38,12 +36,11 @@ type IncrementalRecord struct {
 	// protocol a production service would otherwise run).
 	ColdCut    float64 `json:"cold_cut"`
 	ColdMillis float64 `json:"cold_millis"`
-	// Warm is the warm.Chain result from the projected previous solution;
-	// WarmMillis covers the whole chain, projection included. WarmStages
-	// counts the engine runs the chain executed before its fixpoint.
+	// Warm is prop.Repartition at Runs 1 from the previous solution;
+	// WarmMillis covers the whole call, delta application and projection
+	// included.
 	WarmCut    float64 `json:"warm_cut"`
 	WarmMillis float64 `json:"warm_millis"`
-	WarmStages int     `json:"warm_stages"`
 	// CutRatio = WarmCut/ColdCut, TimeRatio = WarmMillis/ColdMillis.
 	CutRatio  float64 `json:"cut_ratio"`
 	TimeRatio float64 `json:"time_ratio"`
@@ -77,23 +74,19 @@ func RunIncremental(names []string, fractions []float64, runs int, seed int64, p
 		Seed:       seed,
 		Runs:       runs,
 	}
-	specs := map[string]gen.SuiteSpec{}
-	for _, s := range gen.Table1() {
-		specs[s.Name] = s
-	}
-	bal := partition.Exact5050()
 	for _, name := range names {
-		spec, ok := specs[name]
-		if !ok {
-			return rep, fmt.Errorf("bench: unknown incremental circuit %q", name)
+		base, err := prop.Benchmark(name)
+		if err != nil {
+			return rep, fmt.Errorf("bench: incremental circuit: %w", err)
 		}
-		c, err := gen.SuiteCircuit(spec)
+		// The same clone as a hypergraph, for the ECO generator.
+		c, err := gen.SuiteCircuit(specOf(name))
 		if err != nil {
 			return rep, err
 		}
 		// The previous solution: from-scratch multi-start on the base
 		// circuit, outside any timed region.
-		prevSides, _, _, err := coldPortfolio(c.H, bal, runs, seed)
+		prev, err := prop.Partition(base, prop.Options{Runs: runs, Seed: seed, Parallel: 1})
 		if err != nil {
 			return rep, fmt.Errorf("bench: incremental %s base: %w", name, err)
 		}
@@ -103,23 +96,21 @@ func RunIncremental(names []string, fractions []float64, runs int, seed int64, p
 				return rep, fmt.Errorf("bench: incremental %s eco %g: %w", name, frac, err)
 			}
 			applyStart := time.Now()
-			h2, mp, err := d.Apply(c.H)
+			edited, _, err := base.ApplyDelta(d)
 			if err != nil {
 				return rep, fmt.Errorf("bench: incremental %s apply %g: %w", name, frac, err)
 			}
 			applyMs := millis(time.Since(applyStart))
 
-			_, coldCut, coldDur, err := coldPortfolio(h2, bal, runs, seed+1)
+			coldStart := time.Now()
+			cold, err := prop.Partition(edited, prop.Options{Runs: runs, Seed: seed + 1, Parallel: 1})
 			if err != nil {
 				return rep, fmt.Errorf("bench: incremental %s cold %g: %w", name, frac, err)
 			}
+			coldDur := time.Since(coldStart)
 
 			warmStart := time.Now()
-			initial, err := mp.ProjectSides(prevSides)
-			if err != nil {
-				return rep, err
-			}
-			res, err := warm.Chain(h2, initial, core.DefaultConfig(bal))
+			_, warm, err := prop.Repartition(base, prev.Sides, d, prop.Options{Runs: 1, Parallel: 1})
 			if err != nil {
 				return rep, fmt.Errorf("bench: incremental %s warm %g: %w", name, frac, err)
 			}
@@ -128,17 +119,16 @@ func RunIncremental(names []string, fractions []float64, runs int, seed int64, p
 			rec := IncrementalRecord{
 				Name:             name,
 				Fraction:         frac,
-				Nodes:            h2.NumNodes(),
-				Nets:             h2.NumNets(),
+				Nodes:            edited.NumNodes(),
+				Nets:             edited.NumNets(),
 				DeltaApplyMillis: applyMs,
-				ColdCut:          coldCut,
+				ColdCut:          cold.CutCost,
 				ColdMillis:       millis(coldDur),
-				WarmCut:          res.CutCost,
+				WarmCut:          warm.CutCost,
 				WarmMillis:       millis(warmDur),
-				WarmStages:       res.Stages,
 			}
-			if coldCut > 0 {
-				rec.CutRatio = res.CutCost / coldCut
+			if cold.CutCost > 0 {
+				rec.CutRatio = warm.CutCost / cold.CutCost
 			}
 			if coldDur > 0 {
 				rec.TimeRatio = float64(warmDur) / float64(coldDur)
@@ -146,34 +136,11 @@ func RunIncremental(names []string, fractions []float64, runs int, seed int64, p
 			rep.Records = append(rep.Records, rec)
 			if progress != nil {
 				fmt.Fprintf(progress, "incremental %-10s %4.0f%%: cold %g in %.0fms | warm %g in %.0fms (cut ×%.3f, time ×%.2f)\n",
-					name, frac*100, coldCut, rec.ColdMillis, res.CutCost, rec.WarmMillis, rec.CutRatio, rec.TimeRatio)
+					name, frac*100, cold.CutCost, rec.ColdMillis, warm.CutCost, rec.WarmMillis, rec.CutRatio, rec.TimeRatio)
 			}
 		}
 	}
 	return rep, nil
-}
-
-// coldPortfolio is the from-scratch protocol: best of runs random-start
-// serial PROP runs, returning the winning sides/cut and total wall time.
-func coldPortfolio(h *hypergraph.Hypergraph, bal partition.Balance, runs int, seed int64) ([]uint8, float64, time.Duration, error) {
-	start := time.Now()
-	var bestSides []uint8
-	bestCut := 0.0
-	for r := 0; r < runs; r++ {
-		b, err := randomStart(h, bal, seed+int64(r))
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		res, err := core.Partition(b, core.DefaultConfig(bal))
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if r == 0 || res.CutCost < bestCut {
-			bestCut = res.CutCost
-			bestSides = res.Sides
-		}
-	}
-	return bestSides, bestCut, time.Since(start), nil
 }
 
 func millis(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

@@ -1,35 +1,30 @@
 // Package bench is the experiment harness: it runs the full method matrix
 // of the paper over the synthesized ACM/SIGDA suite and renders Tables 1–4
-// and Figure 1 in the paper's layout, plus the §3.5 scaling study. See
-// DESIGN.md §4 for the experiment index.
+// and Figure 1 in the paper's layout, plus the §3.5 scaling study. Every
+// study that the public API can express solves through prop.Partition and
+// prop.Repartition, so the reproduced numbers come from the product path.
+// See DESIGN.md §4 for the experiment index.
 package bench
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
-	"prop/internal/core"
-	"prop/internal/fm"
-	"prop/internal/hypergraph"
-	"prop/internal/la"
+	"prop"
 	"prop/internal/partition"
-	"prop/internal/placement"
-	"prop/internal/spectral"
-	"prop/internal/window"
 )
 
-// RunFunc performs one run of a method and returns the cut cost.
-type RunFunc func(h *hypergraph.Hypergraph, bal partition.Balance, seed int64) (float64, error)
-
-// Method is a named partitioning method.
+// Method is a named partitioning method: one prop.Partition call per
+// circuit.
 type Method struct {
 	Name string
-	// Runs is the number of independent runs (multi-start); deterministic
-	// methods use 1.
+	Algo prop.Algorithm
+	// Runs is the multi-start count (prop.Options.Runs). WINDOW spends it
+	// on its internal FM multi-start; the deterministic methods ignore it.
 	Runs int
-	Run  RunFunc
+	// LADepth is the lookahead depth of prop.AlgoLA.
+	LADepth int
 }
 
 // Series holds the measurements of one method on one circuit.
@@ -64,112 +59,27 @@ func (s Series) Mean() float64 {
 	return t / float64(len(s.Cuts))
 }
 
-// RunSeries executes a method's runs on one circuit.
-func RunSeries(h *hypergraph.Hypergraph, bal partition.Balance, m Method, baseSeed int64) (Series, error) {
-	s := Series{Cuts: make([]float64, 0, m.Runs)}
-	start := time.Now()
-	for r := 0; r < m.Runs; r++ {
-		cut, err := m.Run(h, bal, baseSeed+int64(r))
-		if err != nil {
-			return Series{}, fmt.Errorf("bench: %s run %d: %w", m.Name, r, err)
-		}
-		s.Cuts = append(s.Cuts, cut)
+// RunSeries runs a method on one netlist under the balance window bal.
+// Run r uses seed baseSeed+r, as prop.Partition derives it; at Parallel 1
+// OnRun reports each run's cut in run order. WINDOW, EIG1, MELO, Paraboli
+// and ML-PROP report no per-run cuts, so their series is the result's cut.
+func RunSeries(n *prop.Netlist, bal partition.Balance, m Method, baseSeed int64) (Series, error) {
+	var cuts []float64
+	res, err := prop.Partition(n, prop.Options{
+		Algorithm: m.Algo,
+		R1:        bal.R1,
+		R2:        bal.R2,
+		Runs:      m.Runs,
+		Seed:      baseSeed,
+		LADepth:   m.LADepth,
+		Parallel:  1,
+		OnRun:     func(u prop.RunUpdate) { cuts = append(cuts, u.CutCost) },
+	})
+	if err != nil {
+		return Series{}, fmt.Errorf("bench: %s: %w", m.Name, err)
 	}
-	s.PerRun = time.Since(start) / time.Duration(m.Runs)
-	return s, nil
-}
-
-func randomStart(h *hypergraph.Hypergraph, bal partition.Balance, seed int64) (*partition.Bisection, error) {
-	rng := rand.New(rand.NewSource(seed))
-	return partition.NewBisection(h, partition.RandomSides(h, bal, rng))
-}
-
-// FMMethod is multi-start FM with the given selector.
-func FMMethod(name string, sel fm.Selector, runs int) Method {
-	return Method{Name: name, Runs: runs, Run: func(h *hypergraph.Hypergraph, bal partition.Balance, seed int64) (float64, error) {
-		b, err := randomStart(h, bal, seed)
-		if err != nil {
-			return 0, err
-		}
-		res, err := fm.Partition(b, fm.Config{Balance: bal, Selector: sel})
-		if err != nil {
-			return 0, err
-		}
-		return res.CutCost, nil
-	}}
-}
-
-// LAMethod is multi-start LA-k.
-func LAMethod(k, runs int) Method {
-	return Method{Name: fmt.Sprintf("LA-%d", k), Runs: runs, Run: func(h *hypergraph.Hypergraph, bal partition.Balance, seed int64) (float64, error) {
-		b, err := randomStart(h, bal, seed)
-		if err != nil {
-			return 0, err
-		}
-		res, err := la.Partition(b, la.Config{K: k, Balance: bal})
-		if err != nil {
-			return 0, err
-		}
-		return res.CutCost, nil
-	}}
-}
-
-// PROPMethod is multi-start PROP with the paper's parameters.
-func PROPMethod(runs int) Method {
-	return Method{Name: "PROP", Runs: runs, Run: func(h *hypergraph.Hypergraph, bal partition.Balance, seed int64) (float64, error) {
-		b, err := randomStart(h, bal, seed)
-		if err != nil {
-			return 0, err
-		}
-		res, err := core.Partition(b, core.DefaultConfig(bal))
-		if err != nil {
-			return 0, err
-		}
-		return res.CutCost, nil
-	}}
-}
-
-// WindowMethod is the WINDOW pipeline (one invocation already contains its
-// internal FM multi-start).
-func WindowMethod(innerRuns int) Method {
-	return Method{Name: "WINDOW", Runs: 1, Run: func(h *hypergraph.Hypergraph, bal partition.Balance, seed int64) (float64, error) {
-		res, err := window.Partition(h, window.Config{Balance: bal, Runs: innerRuns, Seed: seed})
-		if err != nil {
-			return 0, err
-		}
-		return res.CutCost, nil
-	}}
-}
-
-// EIG1Method is the spectral Fiedler bisection (deterministic given seed).
-func EIG1Method() Method {
-	return Method{Name: "EIG1", Runs: 1, Run: func(h *hypergraph.Hypergraph, bal partition.Balance, seed int64) (float64, error) {
-		res, err := spectral.EIG1(h, spectral.EIG1Config{Balance: bal, Seed: seed})
-		if err != nil {
-			return 0, err
-		}
-		return res.CutCost, nil
-	}}
-}
-
-// MELOMethod is the multiple-eigenvector linear-ordering partitioner.
-func MELOMethod() Method {
-	return Method{Name: "MELO", Runs: 1, Run: func(h *hypergraph.Hypergraph, bal partition.Balance, seed int64) (float64, error) {
-		res, err := spectral.MELO(h, spectral.MELOConfig{Balance: bal, Seed: seed})
-		if err != nil {
-			return 0, err
-		}
-		return res.CutCost, nil
-	}}
-}
-
-// ParaboliMethod is the analytical-placement partitioner.
-func ParaboliMethod() Method {
-	return Method{Name: "Paraboli", Runs: 1, Run: func(h *hypergraph.Hypergraph, bal partition.Balance, seed int64) (float64, error) {
-		res, err := placement.Paraboli(h, placement.Config{Balance: bal})
-		if err != nil {
-			return 0, err
-		}
-		return res.CutCost, nil
-	}}
+	if len(cuts) == 0 {
+		cuts = []float64{res.CutCost}
+	}
+	return Series{Cuts: cuts, PerRun: res.Elapsed / time.Duration(len(cuts))}, nil
 }

@@ -13,8 +13,8 @@ import (
 	"strings"
 	"time"
 
+	"prop"
 	"prop/internal/gen"
-	"prop/internal/hypergraph"
 	"prop/internal/multilevel"
 	"prop/internal/partition"
 )
@@ -207,22 +207,22 @@ func readPeakRSS() (int64, error) {
 	return 0, fmt.Errorf("bench: VmHWM not found in /proc/self/status")
 }
 
-// RunScaleGolden runs the golden-five quality gate in-process: V-cycle and
-// n-level under the same seed and balance, per circuit.
+// RunScaleGolden runs the golden-five quality gate in-process: ml-prop in
+// V-cycle and n-level mode under the same seed and balance, per circuit.
 func RunScaleGolden(seed int64, progress io.Writer) ([]ScaleGolden, int, error) {
-	bal := partition.Exact5050()
 	var out []ScaleGolden
 	worse := 0
 	for _, name := range []string{"balu", "struct", "p2", "industry2", "gen600"} {
-		circuit, err := goldenCircuit(name)
+		n, err := goldenCircuit(name)
 		if err != nil {
 			return nil, 0, err
 		}
-		vc, err := multilevel.Partition(circuit, multilevel.Config{Balance: bal, Seed: seed})
+		vc, err := prop.Partition(n, prop.Options{Algorithm: prop.AlgoMLPROP, Seed: seed})
 		if err != nil {
 			return nil, 0, err
 		}
-		nl, err := multilevel.Partition(circuit, multilevel.Config{Balance: bal, Mode: multilevel.ModeNLevel, Seed: seed})
+		nl, err := prop.Partition(n, prop.Options{Algorithm: prop.AlgoMLPROP, Seed: seed,
+			ML: &prop.MLParams{Mode: multilevel.ModeNLevel}})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -239,20 +239,11 @@ func RunScaleGolden(seed int64, progress io.Writer) ([]ScaleGolden, int, error) 
 
 // goldenCircuit resolves the golden-five names: the four Table-1 suite
 // circuits plus the generated 600-node instance the golden tests pin.
-func goldenCircuit(name string) (*hypergraph.Hypergraph, error) {
+func goldenCircuit(name string) (*prop.Netlist, error) {
 	if name == "gen600" {
-		return gen.Generate(gen.Params{Nodes: 600, Nets: 660, Pins: 2300, Seed: 41})
+		return prop.Generate(prop.GenParams{Nodes: 600, Nets: 660, Pins: 2300, Seed: 41})
 	}
-	for _, s := range gen.Table1() {
-		if s.Name == name {
-			c, err := gen.SuiteCircuit(s)
-			if err != nil {
-				return nil, err
-			}
-			return c.H, nil
-		}
-	}
-	return nil, fmt.Errorf("bench: unknown golden circuit %q", name)
+	return prop.Benchmark(name)
 }
 
 // WriteScale serializes the report as indented JSON.

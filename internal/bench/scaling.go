@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
-	"prop/internal/core"
-	"prop/internal/gen"
-	"prop/internal/partition"
+	"prop"
 )
 
 // WriteScaling runs PROP on a geometric ladder of circuit sizes and reports
@@ -20,30 +17,23 @@ func WriteScaling(w io.Writer, sizes []int, seed int64) error {
 	}
 	fmt.Fprintln(w, "Scaling study: PROP time per run vs Θ(m log n) (§3.5)")
 	fmt.Fprintf(w, "%10s %10s %10s %12s %16s\n", "nodes", "nets", "pins m", "s/run", "ns/(m·log2 n)")
-	bal := partition.Exact5050()
 	for _, n := range sizes {
-		h, err := gen.Generate(gen.Params{
+		nl, err := prop.Generate(prop.GenParams{
 			Nodes: n, Nets: int(float64(n) * 1.05), Pins: int(float64(n) * 3.6), Seed: seed + int64(n),
 		})
 		if err != nil {
 			return err
 		}
 		const runs = 3
-		start := time.Now()
-		for r := 0; r < runs; r++ {
-			b, err := randomStart(h, bal, seed+int64(r))
-			if err != nil {
-				return err
-			}
-			if _, err := core.Partition(b, core.DefaultConfig(bal)); err != nil {
-				return err
-			}
+		res, err := prop.Partition(nl, prop.Options{Runs: runs, Seed: seed, Parallel: 1})
+		if err != nil {
+			return err
 		}
-		per := time.Since(start) / runs
-		m := float64(h.NumPins())
+		per := res.Elapsed / runs
+		m := float64(nl.NumPins())
 		norm := float64(per.Nanoseconds()) / (m * math.Log2(float64(n)))
 		fmt.Fprintf(w, "%10d %10d %10d %12.3f %16.1f\n",
-			h.NumNodes(), h.NumNets(), h.NumPins(), per.Seconds(), norm)
+			nl.NumNodes(), nl.NumNets(), nl.NumPins(), per.Seconds(), norm)
 	}
 	return nil
 }

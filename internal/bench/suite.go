@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"prop/internal/fm"
+	"prop"
 	"prop/internal/gen"
-	"prop/internal/hypergraph"
 	"prop/internal/partition"
 )
 
@@ -30,7 +29,7 @@ type Options struct {
 // CircuitResult holds every measurement for one circuit.
 type CircuitResult struct {
 	Spec  gen.SuiteSpec
-	Stats hypergraph.Stats
+	Stats prop.Stats
 	// S5050 and S4555 map method name → series under the respective
 	// balance criterion.
 	S5050 map[string]Series
@@ -54,48 +53,53 @@ func RunSuite(opts Options, progress io.Writer) ([]CircuitResult, error) {
 			fmt.Fprintf(progress, format, args...)
 		}
 	}
-	circuits, err := gen.Suite(opts.MaxNodes)
-	if err != nil {
-		return nil, err
-	}
 	m5050 := []Method{
-		FMMethod("FM", fm.Bucket, 5*opts.Runs),
-		FMMethod("FM-tree", fm.Tree, opts.TreeTimingRuns),
-		LAMethod(2, 2*opts.Runs),
-		LAMethod(3, opts.Runs),
-		WindowMethod(opts.Runs),
-		PROPMethod(opts.Runs),
+		{Name: "FM", Algo: prop.AlgoFM, Runs: 5 * opts.Runs},
+		{Name: "FM-tree", Algo: prop.AlgoFMTree, Runs: opts.TreeTimingRuns},
+		{Name: "LA-2", Algo: prop.AlgoLA, Runs: 2 * opts.Runs, LADepth: 2},
+		{Name: "LA-3", Algo: prop.AlgoLA, Runs: opts.Runs, LADepth: 3},
+		{Name: "WINDOW", Algo: prop.AlgoWindow, Runs: opts.Runs},
+		{Name: "PROP", Algo: prop.AlgoPROP, Runs: opts.Runs},
 	}
 	m4555 := []Method{
-		EIG1Method(),
-		MELOMethod(),
-		ParaboliMethod(),
-		PROPMethod(opts.Runs),
+		{Name: "EIG1", Algo: prop.AlgoEIG1},
+		{Name: "MELO", Algo: prop.AlgoMELO},
+		{Name: "Paraboli", Algo: prop.AlgoParaboli},
+		{Name: "PROP", Algo: prop.AlgoPROP, Runs: opts.Runs},
 	}
 	var out []CircuitResult
-	for ci, c := range circuits {
+	for _, spec := range gen.Table1() {
+		if opts.MaxNodes > 0 && spec.Nodes > opts.MaxNodes {
+			continue
+		}
+		n, err := prop.Benchmark(spec.Name)
+		if err != nil {
+			return nil, err
+		}
+		// Each circuit gets its own seed block; 45-55 runs start 50000 in.
+		seed := opts.Seed + int64(len(out))*100000
 		res := CircuitResult{
-			Spec:  specOf(c.Name),
-			Stats: hypergraph.ComputeStats(c.H),
+			Spec:  spec,
+			Stats: n.Stats(),
 			S5050: map[string]Series{},
 			S4555: map[string]Series{},
 		}
 		for _, m := range m5050 {
-			s, err := RunSeries(c.H, partition.Exact5050(), m, opts.Seed+int64(ci)*100000)
+			s, err := RunSeries(n, partition.Exact5050(), m, seed)
 			if err != nil {
 				return nil, err
 			}
 			res.S5050[m.Name] = s
-			logf("%s 50-50 %-8s best=%-6.0f %.3fs/run\n", c.Name, m.Name, s.BestOf(len(s.Cuts)), s.PerRun.Seconds())
+			logf("%s 50-50 %-8s best=%-6.0f %.3fs/run\n", spec.Name, m.Name, s.BestOf(len(s.Cuts)), s.PerRun.Seconds())
 		}
 		if !opts.Skip45 {
 			for _, m := range m4555 {
-				s, err := RunSeries(c.H, partition.B4555(), m, opts.Seed+int64(ci)*100000+50000)
+				s, err := RunSeries(n, partition.B4555(), m, seed+50000)
 				if err != nil {
 					return nil, err
 				}
 				res.S4555[m.Name] = s
-				logf("%s 45-55 %-8s best=%-6.0f %.3fs/run\n", c.Name, m.Name, s.BestOf(len(s.Cuts)), s.PerRun.Seconds())
+				logf("%s 45-55 %-8s best=%-6.0f %.3fs/run\n", spec.Name, m.Name, s.BestOf(len(s.Cuts)), s.PerRun.Seconds())
 			}
 		}
 		out = append(out, res)

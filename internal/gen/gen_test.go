@@ -152,18 +152,6 @@ func TestGenerateProperty(t *testing.T) {
 	}
 }
 
-// TestSuiteFilter: the MaxNodes filter trims the suite.
-func TestSuiteFilter(t *testing.T) {
-	small, err := Suite(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only balu (801), bm1 (882), p1 (833) are ≤ 1000 nodes.
-	if len(small) != 3 {
-		t.Errorf("Suite(1000) has %d circuits, want 3", len(small))
-	}
-}
-
 // TestFigure1Shape: the fixture has the documented shape.
 func TestFigure1Shape(t *testing.T) {
 	f := Figure1()

@@ -66,21 +66,3 @@ func SuiteCircuit(spec SuiteSpec) (Circuit, error) {
 	}
 	return Circuit{Name: spec.Name, H: h}, nil
 }
-
-// Suite synthesizes all sixteen circuits. maxNodes > 0 restricts the suite
-// to circuits with at most that many nodes (handy for quick runs and unit
-// tests).
-func Suite(maxNodes int) ([]Circuit, error) {
-	var out []Circuit
-	for _, spec := range Table1() {
-		if maxNodes > 0 && spec.Nodes > maxNodes {
-			continue
-		}
-		c, err := SuiteCircuit(spec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}

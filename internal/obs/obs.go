@@ -32,7 +32,7 @@
 //	             cut_before, cut_after, adopted (0/1), dur_us
 //	delta_apply  id?, structural (0/1), nodes, nets, collapsed, dur_us
 //	phase_start  name, depth, level
-//	phase        name, depth, level, wall_us, heap_bytes?
+//	phase        name, depth, level, wall_us
 //
 // flow is one corridor max-flow round of the flow-based boundary
 // refinement stage (internal/flow) — the flow analogue of a pass event,
@@ -48,12 +48,11 @@
 // the 0-based nesting depth within the run, tracked per run index by the
 // tracer, so a validator can replay each run's spans against a stack and
 // reject unbalanced nesting. level is a phase-local ordinal (coarsen
-// level, polish round); heap_bytes is the process heap at phase end,
-// present only when heap sampling is enabled. Like delta_apply, phase
-// events are emitted at every trace level — phases are rare and
-// load-bearing. Per-run depth tracking assumes at most one goroutine
-// emits phases for a given run index at a time, which holds for every
-// engine path: parallel portfolios give each run a distinct index.
+// level, polish round). Like delta_apply, phase events are emitted at
+// every trace level — phases are rare and load-bearing. Per-run depth
+// tracking assumes at most one goroutine emits phases for a given run
+// index at a time, which holds for every engine path: parallel
+// portfolios give each run a distinct index.
 //
 // Fields marked ? are omitted when empty. cmd/tracecheck validates a
 // JSONL stream against this schema.
@@ -64,7 +63,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"io"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -104,7 +102,6 @@ func ParseLevel(s string) (Level, bool) {
 type Tracer struct {
 	level Level
 	epoch time.Time
-	heap  bool        // sample runtime heap at phase boundaries
 	hook  func(Phase) // invoked after each phase end, outside t.mu
 	prog  *Progress   // live snapshot sink, optional
 
@@ -134,15 +131,6 @@ func New(w io.Writer, level Level) *Tracer {
 		buf:    make([]byte, 0, 256),
 		depths: make(map[int]int),
 	}
-}
-
-// WithHeapSampling enables a runtime.ReadMemStats snapshot at each phase
-// end, emitted as heap_bytes. ReadMemStats stops the world briefly, so
-// this is opt-in and the read happens only at phase boundaries — never on
-// the pass/move hot path. Must be called before the tracer is shared.
-func (t *Tracer) WithHeapSampling() *Tracer {
-	t.heap = true
-	return t
 }
 
 // WithPhaseHook installs fn, called once per completed phase span after
@@ -390,8 +378,7 @@ func (t *Tracer) EmitMove(e Move) {
 
 // Phase is one completed hierarchical phase span: a named stage of the
 // partitioning pipeline (multilevel level, warm polish round, flow stage,
-// refine dispatch) with its nesting depth and wall time. Heap is the
-// process heap at phase end, zero unless heap sampling is enabled.
+// refine dispatch) with its nesting depth and wall time.
 type Phase struct {
 	Run   int
 	Name  string
@@ -399,7 +386,6 @@ type Phase struct {
 	Level int // phase-local ordinal: coarsen level, polish round, ...
 
 	Wall time.Duration
-	Heap uint64 // HeapAlloc bytes at phase end (heap sampling only)
 }
 
 // PhaseSpan is an open phase started by StartPhase. The zero value (from
@@ -458,13 +444,6 @@ func (s PhaseSpan) End() {
 		Level: s.level,
 		Wall:  time.Since(s.start),
 	}
-	if t.heap {
-		// Outside t.mu: ReadMemStats stops the world and must not extend
-		// the critical section every concurrent emitter shares.
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		e.Heap = ms.HeapAlloc
-	}
 	t.mu.Lock()
 	// Restore the pre-span depth so sibling spans reuse it. Out-of-order
 	// Ends would misreport depth, not corrupt the tracer.
@@ -474,9 +453,6 @@ func (s PhaseSpan) End() {
 	b = appendInt(b, "depth", int64(s.depth))
 	b = appendInt(b, "level", int64(s.level))
 	b = appendInt(b, "wall_us", e.Wall.Microseconds())
-	if e.Heap != 0 {
-		b = appendInt(b, "heap_bytes", int64(e.Heap))
-	}
 	t.close(b)
 	t.mu.Unlock()
 	if t.hook != nil {

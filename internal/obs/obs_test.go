@@ -141,24 +141,7 @@ func TestPhaseEncoding(t *testing.T) {
 			if _, ok := m["wall_us"]; !ok {
 				t.Errorf("line %d missing wall_us: %v", i, m)
 			}
-			if _, ok := m["heap_bytes"]; ok {
-				t.Errorf("line %d has heap_bytes without heap sampling: %v", i, m)
-			}
 		}
-	}
-}
-
-func TestPhaseHeapSampling(t *testing.T) {
-	var sb strings.Builder
-	tr := New(&sb, LevelPass).WithHeapSampling()
-	tr.StartPhase(0, "prop").End()
-	lines := decodeLines(t, sb.String())
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d, want 2", len(lines))
-	}
-	heap, ok := lines[1]["heap_bytes"].(float64)
-	if !ok || heap <= 0 {
-		t.Errorf("phase heap_bytes = %v, want > 0", lines[1]["heap_bytes"])
 	}
 }
 

@@ -2,10 +2,9 @@
 // RunReport: the hierarchical per-phase wall-time tree built from
 // phase_start/phase span pairs, the pass convergence curve (cut versus
 // pass index — the observable form of the paper's 2–4-pass convergence
-// claim), move accept/lock rates, and the flow polisher's adoption rate. The report has a JSON
-// form (WriteJSON) for machines and an aligned-text form (WriteText) for
-// terminals; Diff compares two reports with per-phase thresholds for
-// regression triage (cmd/tracestat -diff).
+// claim), move accept/lock rates, and the flow polisher's adoption rate.
+// The report has a JSON form (WriteJSON) for machines and an aligned-text
+// form (WriteText) for terminals.
 //
 // Read is tolerant of truncated or mildly malformed streams — it counts
 // anomalies in Malformed instead of failing — because reports are often
@@ -29,11 +28,10 @@ type event struct {
 	Run int    `json:"run"`
 
 	// phase_start / phase
-	Name      string `json:"name"`
-	Depth     int    `json:"depth"`
-	Level     int    `json:"level"`
-	WallUS    int64  `json:"wall_us"`
-	HeapBytes uint64 `json:"heap_bytes"`
+	Name   string `json:"name"`
+	Depth  int    `json:"depth"`
+	Level  int    `json:"level"`
+	WallUS int64  `json:"wall_us"`
 
 	// pass / move
 	Pass   int     `json:"pass"`
@@ -58,7 +56,6 @@ type PhaseNode struct {
 	Name     string       `json:"name"`
 	Count    int          `json:"count"`
 	WallUS   int64        `json:"wall_us"`
-	HeapMax  uint64       `json:"heap_max_bytes,omitempty"`
 	Children []*PhaseNode `json:"children,omitempty"`
 }
 
@@ -206,9 +203,6 @@ func Read(r io.Reader) (*RunReport, error) {
 			stacks[e.Run] = st[:len(st)-1]
 			n.Count++
 			n.WallUS += e.WallUS
-			if e.HeapBytes > n.HeapMax {
-				n.HeapMax = e.HeapBytes
-			}
 		case "pass":
 			rep.Moves.Passes++
 			rep.Moves.Moves += e.Moves
@@ -348,12 +342,8 @@ func WriteText(w io.Writer, rep *RunReport, topN int) error {
 			if denom > 0 {
 				pct = 100 * float64(n.WallUS) / float64(denom)
 			}
-			fmt.Fprintf(bw, "%*s%-*s %5dx %12s %6.1f%%",
+			fmt.Fprintf(bw, "%*s%-*s %5dx %12s %6.1f%%\n",
 				indent, "", nameW-indent, n.Name, n.Count, ms(n.WallUS), pct)
-			if n.HeapMax > 0 {
-				fmt.Fprintf(bw, "  heap %.1fMB", float64(n.HeapMax)/(1<<20))
-			}
-			fmt.Fprintln(bw)
 			for _, c := range n.Children {
 				walk(c, indent+2)
 			}
@@ -408,7 +398,7 @@ func WriteText(w io.Writer, rep *RunReport, topN int) error {
 }
 
 // Flatten maps every phase-tree node to its slash-joined name path
-// ("multilevel/uncoarsen/prop"), for top-N tables and Diff.
+// ("multilevel/uncoarsen/prop"), for the top-N table.
 func Flatten(rep *RunReport) map[string]*PhaseNode {
 	out := make(map[string]*PhaseNode)
 	var walk func(prefix string, n *PhaseNode)
@@ -424,94 +414,6 @@ func Flatten(rep *RunReport) map[string]*PhaseNode {
 	}
 	for _, n := range rep.Phases {
 		walk("", n)
-	}
-	return out
-}
-
-// DiffOptions are the regression thresholds of Diff; zero values select
-// the defaults noted per field.
-type DiffOptions struct {
-	// WallPct flags a phase (or the total run wall) whose wall time grew
-	// by more than this percentage (0 → 25).
-	WallPct float64
-	// MinWallUS ignores phases whose old wall time is below this, killing
-	// noise from micro-phases (0 → 5000 µs).
-	MinWallUS int64
-	// CutPct flags a final best cut that worsened by more than this
-	// percentage (0 → 0.5).
-	CutPct float64
-}
-
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.WallPct == 0 {
-		o.WallPct = 25
-	}
-	if o.MinWallUS == 0 {
-		o.MinWallUS = 5000
-	}
-	if o.CutPct == 0 {
-		o.CutPct = 0.5
-	}
-	return o
-}
-
-// Regression is one threshold violation found by Diff.
-type Regression struct {
-	Kind     string  `json:"kind"` // "phase_wall" | "run_wall" | "cut"
-	Name     string  `json:"name,omitempty"`
-	Old      float64 `json:"old"`
-	New      float64 `json:"new"`
-	DeltaPct float64 `json:"delta_pct"`
-}
-
-func (r Regression) String() string {
-	name := r.Kind
-	if r.Name != "" {
-		name = fmt.Sprintf("%s %s", r.Kind, r.Name)
-	}
-	return fmt.Sprintf("%s: %g -> %g (%+.1f%%)", name, r.Old, r.New, r.DeltaPct)
-}
-
-// Diff compares two reports and returns the regressions in new relative
-// to old: per-phase and total wall-time growth beyond WallPct (phases
-// shorter than MinWallUS in old are skipped) and final-cut growth beyond
-// CutPct. Comparing a report against itself returns nothing.
-func Diff(old, new *RunReport, o DiffOptions) []Regression {
-	o = o.withDefaults()
-	var out []Regression
-
-	if old.RunWallUS >= o.MinWallUS && new.RunWallUS > 0 {
-		pct := 100 * (float64(new.RunWallUS) - float64(old.RunWallUS)) / float64(old.RunWallUS)
-		if pct > o.WallPct {
-			out = append(out, Regression{Kind: "run_wall",
-				Old: float64(old.RunWallUS), New: float64(new.RunWallUS), DeltaPct: pct})
-		}
-	}
-
-	oldFlat, newFlat := Flatten(old), Flatten(new)
-	paths := make([]string, 0, len(oldFlat))
-	for p := range oldFlat {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		on, nn := oldFlat[p], newFlat[p]
-		if nn == nil || on.WallUS < o.MinWallUS {
-			continue
-		}
-		pct := 100 * (float64(nn.WallUS) - float64(on.WallUS)) / float64(on.WallUS)
-		if pct > o.WallPct {
-			out = append(out, Regression{Kind: "phase_wall", Name: p,
-				Old: float64(on.WallUS), New: float64(nn.WallUS), DeltaPct: pct})
-		}
-	}
-
-	if old.FinalBestCut > 0 && new.FinalBestCut > 0 {
-		pct := 100 * (new.FinalBestCut - old.FinalBestCut) / old.FinalBestCut
-		if pct > o.CutPct {
-			out = append(out, Regression{Kind: "cut",
-				Old: old.FinalBestCut, New: new.FinalBestCut, DeltaPct: pct})
-		}
 	}
 	return out
 }

@@ -1,53 +1,12 @@
 // Package stats provides the descriptive statistics the experiment
-// analysis uses: means, standard deviations, geometric means of ratios,
-// win/loss records and the paper's improvement metric over paired method
-// results.
+// analysis uses: geometric means of ratios, win/loss records and the
+// paper's improvement metric over paired method results.
 package stats
 
 import (
 	"fmt"
 	"math"
 )
-
-// Mean returns the arithmetic mean (NaN for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation (NaN for n < 2).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Min returns the minimum (NaN for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
 
 // GeoMeanRatio returns the geometric mean of b[i]/a[i] — the standard
 // cross-benchmark aggregate for cut ratios. Pairs with a[i] ≤ 0 or

@@ -8,23 +8,6 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
-// TestBasicMoments: mean, stddev and min on a hand-checked sample.
-func TestBasicMoments(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); !almost(m, 5) {
-		t.Errorf("Mean = %g, want 5", m)
-	}
-	if s := StdDev(xs); !almost(s, math.Sqrt(32.0/7)) {
-		t.Errorf("StdDev = %g, want %g", s, math.Sqrt(32.0/7))
-	}
-	if m := Min(xs); m != 2 {
-		t.Errorf("Min = %g, want 2", m)
-	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(StdDev([]float64{1})) || !math.IsNaN(Min(nil)) {
-		t.Error("degenerate inputs must yield NaN")
-	}
-}
-
 // TestGeoMeanRatio: hand case and scale invariance property.
 func TestGeoMeanRatio(t *testing.T) {
 	a := []float64{10, 10}

@@ -63,6 +63,22 @@ if [ -n "$builders" ]; then
 	exit 1
 fi
 
+echo "== harness guard =="
+# One solve path for the reproduction: internal/bench runs its studies
+# through prop.Partition and prop.Repartition. An engine, the polish
+# fixpoint or the portfolio engine imported there means the harness grew
+# a private solver wrapper again. (Figure 1, the ablation, the ML-FM row
+# and the scale rows need core, la and multilevel, which the API cannot
+# express.)
+wrappers=$(grep -rnE --include='*.go' --exclude='*_test.go' \
+	'"prop/internal/(fm|kl|sk|anneal|window|spectral|placement|warm|refine|engine)"' \
+	internal/bench || true)
+if [ -n "$wrappers" ]; then
+	echo "engine packages imported by internal/bench (solve through prop.Partition):" >&2
+	echo "$wrappers" >&2
+	exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -136,13 +152,11 @@ go run ./cmd/tracecheck "$tracedir/flow_trace.jsonl"
 
 echo "== run-report smoke =="
 # Phase telemetry end to end: a traced multilevel run must pass the
-# phase-nesting validator, aggregate into a run report, and diff clean
-# against itself (the CI regression-gate path with zero drift).
+# phase-nesting validator and aggregate into a run report.
 go run ./cmd/propart -suite balu -algo ml-prop -q \
 	-trace "$tracedir/ml_trace.jsonl" >/dev/null
 go run ./cmd/tracecheck "$tracedir/ml_trace.jsonl"
 go run ./cmd/tracestat -top 5 "$tracedir/ml_trace.jsonl"
-go run ./cmd/tracestat -diff "$tracedir/ml_trace.jsonl" "$tracedir/ml_trace.jsonl"
 # The flow trace from the previous smoke aggregates too (flow adoption
 # rates plus the corridor/expand/dinic/adopt phase tree).
 go run ./cmd/tracestat -top 5 "$tracedir/flow_trace.jsonl" >/dev/null
