@@ -75,7 +75,7 @@
 //
 // Every request is logged with a run ID that also labels the job's
 // engine-level logs and trace events. Job completion logs carry the
-// algorithm, move-worker count, and total improvement passes; jobs whose
+// algorithm, total improvement passes and the cut; jobs whose
 // compute exceeds -slow-run (0 disables) log a warning. On SIGTERM or
 // SIGINT the server drains: new compute POSTs get 503 while in-flight
 // jobs finish (up to -drain-timeout), then the journal is flushed and

@@ -1,12 +1,12 @@
 // Command tracecheck validates a JSONL trace produced by the tracing
-// subsystem (propart -trace, bench -trace, or propserve ?trace=). It
-// checks every line against the event schema documented in internal/obs
-// — unknown event kinds are violations, so schema drift cannot slip
-// through silently — validates per-run timestamp monotonicity and
-// run-span balance, and replays each run's phase_start/phase pairs
-// against a stack to reject unbalanced or misnested phase spans. Exits
-// non-zero on the first violation, so CI can assert that the trace
-// pipeline emits well-formed events end to end.
+// subsystem (propart -trace or propserve ?trace=). It checks every line
+// against the event schema documented in internal/obs — unknown event
+// kinds are violations, so schema drift cannot slip through silently —
+// validates per-run timestamp monotonicity and run-span balance, and
+// replays each run's phase_start/phase pairs against a stack to reject
+// unbalanced or misnested phase spans. Exits non-zero on the first
+// violation, so CI can assert that the trace pipeline emits well-formed
+// events end to end.
 //
 // Usage:
 //

@@ -59,6 +59,9 @@ func TestGoldenCutsAcrossMigration(t *testing.T) {
 			}
 			check(t, n, prop.AlgoPROP, 3, 7, tc.prop)
 			check(t, n, prop.AlgoFM, 3, 7, tc.fm)
+			// Under unit costs, FM-tree's LIFO ties reproduce the bucket
+			// array's selection order exactly.
+			check(t, n, prop.AlgoFMTree, 3, 7, tc.fm)
 		})
 	}
 }
@@ -72,6 +75,39 @@ func TestGoldenCutsGenerated(t *testing.T) {
 	}
 	check(t, n, prop.AlgoPROP, 5, 11, golden{48, 4, 0xf732c54e9365b36e})
 	check(t, n, prop.AlgoFM, 5, 11, golden{55, 0, 0x48db48f4509eda0a})
+	check(t, n, prop.AlgoFMTree, 5, 11, golden{55, 0, 0x48db48f4509eda0a})
+}
+
+// TestGoldenCutsWeightedNets pins the float-gain selectors where FM-bucket
+// cannot run: every net is re-costed to 1 + (e mod 5)·0.25, so gains are
+// fractional and equal-gain ties are broken by the containers' LIFO stamps.
+func TestGoldenCutsWeightedNets(t *testing.T) {
+	cases := []struct {
+		circuit string
+		fmTree  golden
+		la      golden
+	}{
+		{"struct", golden{119, 2, 0x161f2059d6b718f2}, golden{113.5, 2, 0x6adfd5ee42ec80d2}},
+		{"p2", golden{267.75, 2, 0x54d08168b7ecc2fa}, golden{261, 2, 0x3cc42dbefa379227}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.circuit, func(t *testing.T) {
+			n, err := prop.Benchmark(tc.circuit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			costs := make([]float64, n.NumNets())
+			for e := range costs {
+				costs[e] = 1 + float64(e%5)*0.25
+			}
+			if n, err = n.WithNetCosts(costs); err != nil {
+				t.Fatal(err)
+			}
+			check(t, n, prop.AlgoFMTree, 3, 7, tc.fmTree)
+			check(t, n, prop.AlgoLA, 3, 7, tc.la)
+		})
+	}
 }
 
 func check(t *testing.T, n *prop.Netlist, algo prop.Algorithm, runs int, seed int64, want golden) {

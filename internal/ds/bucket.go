@@ -1,7 +1,7 @@
 // Package ds provides the two gain-ordered node containers used by the
 // partitioners: the classic FM bucket array (O(1) updates, valid only for
-// integer gains, i.e. unit net costs) and a balanced AVL tree keyed by
-// float gains (O(log n) updates, required by PROP and by FM/LA under
+// integer gains, i.e. unit net costs) and an indexed heap keyed by float
+// gains (O(log n) updates, required by PROP and by FM/LA under
 // non-uniform net costs — see §3.5 and §4 of the paper).
 package ds
 

@@ -2,125 +2,11 @@ package ds
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 )
 
-// oracle is a reference implementation: a plain map checked against both
-// containers.
-type oracle map[int]float64
-
-func (o oracle) max() (int, float64, bool) {
-	best, bg, ok := -1, 0.0, false
-	for u, g := range o {
-		if !ok || g > bg || (g == bg && u < best) {
-			best, bg, ok = u, g, true
-		}
-	}
-	return best, bg, ok
-}
-
-// TestAVLAgainstOracle drives the AVL tree with a long random operation
-// sequence and cross-checks Max, Len, Contains and the invariants after
-// every step.
-func TestAVLAgainstOracle(t *testing.T) {
-	const n = 120
-	rng := rand.New(rand.NewSource(42))
-	tree := NewAVLTree(n)
-	ref := oracle{}
-	for step := 0; step < 6000; step++ {
-		u := rng.Intn(n)
-		switch {
-		case !tree.Contains(u):
-			g := float64(rng.Intn(21) - 10)
-			tree.Insert(u, g)
-			ref[u] = g
-		case rng.Intn(2) == 0:
-			tree.Delete(u)
-			delete(ref, u)
-		default:
-			g := float64(rng.Intn(21)-10) + rng.Float64()
-			tree.Update(u, g)
-			ref[u] = g
-		}
-		if err := tree.CheckInvariants(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if tree.Len() != len(ref) {
-			t.Fatalf("step %d: Len=%d, oracle=%d", step, tree.Len(), len(ref))
-		}
-		wn, wg, wok := ref.max()
-		gn, gg, gok := tree.Max()
-		if wok != gok || (wok && (wn != gn || wg != gg)) {
-			t.Fatalf("step %d: Max=(%d,%g,%v), oracle=(%d,%g,%v)", step, gn, gg, gok, wn, wg, wok)
-		}
-	}
-}
-
-// TestAVLTopDownSorted checks the in-order traversal yields non-increasing
-// gains with node-ID tie-break, via testing/quick.
-func TestAVLTopDownSorted(t *testing.T) {
-	f := func(gains []float64) bool {
-		if len(gains) > 80 {
-			gains = gains[:80]
-		}
-		tree := NewAVLTree(len(gains))
-		for u, g := range gains {
-			tree.Insert(u, g)
-		}
-		type pair struct {
-			u int
-			g float64
-		}
-		var got []pair
-		tree.TopDown(func(u int, g float64) bool {
-			got = append(got, pair{u, g})
-			return true
-		})
-		if len(got) != len(gains) {
-			return false
-		}
-		want := append([]pair(nil), got...)
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].g != want[j].g {
-				return want[i].g > want[j].g
-			}
-			return want[i].u < want[j].u
-		})
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAVLTopK checks TopK returns exactly the k best nodes.
-func TestAVLTopK(t *testing.T) {
-	tree := NewAVLTree(10)
-	gains := []float64{5, -1, 3, 3, 8, 0, -2, 7, 1, 4}
-	for u, g := range gains {
-		tree.Insert(u, g)
-	}
-	got := tree.TopK(4, nil)
-	want := []int{4, 7, 0, 9} // gains 8, 7, 5, 4
-	if len(got) != len(want) {
-		t.Fatalf("TopK(4) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TopK(4) = %v, want %v", got, want)
-		}
-	}
-}
-
-// TestBucketsAgainstOracle mirrors the AVL oracle test for the FM bucket
-// array (integer gains).
+// TestBucketsAgainstOracle drives the FM bucket array (integer gains)
+// through a random operation sequence against a map oracle.
 func TestBucketsAgainstOracle(t *testing.T) {
 	const n, maxGain = 90, 12
 	rng := rand.New(rand.NewSource(9))
@@ -212,31 +98,5 @@ func TestBucketsGainClamping(t *testing.T) {
 	}
 	if n, g, ok := b.Max(); !ok || n != 0 || g != 9 {
 		t.Errorf("Max = (%d,%d,%v), want (0,9,true)", n, g, ok)
-	}
-}
-
-// TestAVLStampLIFO: with stamps, equal gains order most-recent-first; the
-// stamp participates only within equal gains.
-func TestAVLStampLIFO(t *testing.T) {
-	tree := NewAVLTree(5)
-	for u := 0; u < 4; u++ {
-		tree.SetStamp(u, int64(u+1))
-		tree.Insert(u, 1.0) // all equal gains, increasing stamps
-	}
-	tree.SetStamp(4, 100)
-	tree.Insert(4, 2.0) // higher gain dominates any stamp
-	var order []int
-	tree.TopDown(func(u int, _ float64) bool {
-		order = append(order, u)
-		return true
-	})
-	want := []int{4, 3, 2, 1, 0}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("TopDown = %v, want %v", order, want)
-		}
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -6,8 +6,9 @@
 //
 // Two selection structures are provided, matching the paper's Table 4
 // rows: the classic bucket array (FM-bucket, Θ(1) updates, unit net costs
-// only) and a balanced AVL tree (FM-tree, Θ(log n) updates, arbitrary net
-// costs).
+// only) and an indexed gain heap with the bucket array's LIFO ties
+// (FM-tree, Θ(log n) updates, arbitrary net costs). Under unit costs the
+// two select the same node at every step.
 //
 // The pass protocol itself — selection, locking, prefix-max rollback,
 // convergence, tracing — lives in the shared engine (internal/moves);
@@ -29,7 +30,8 @@ type Selector int
 const (
 	// Bucket is the classic FM bucket array; requires unit net costs.
 	Bucket Selector = iota
-	// Tree is a balanced AVL tree; works with arbitrary net costs.
+	// Tree is a float-gain heap with LIFO ties; works with arbitrary net
+	// costs. It keeps the name of the paper's balanced-tree FM row.
 	Tree
 )
 
@@ -96,7 +98,7 @@ func Partition(b *partition.Bisection, cfg Config) (Result, error) {
 }
 
 // engine is FM's NodePolicy: Eqn.-1 gains maintained by the classic FM
-// delta rules, selected from a bucket array or an AVL tree.
+// delta rules, selected from a bucket array or a LIFO gain heap.
 type engine struct {
 	b      *partition.Bisection
 	cfg    Config
@@ -159,7 +161,7 @@ func (e *engine) newContainer(n, maxGain int) moves.Container {
 	if e.cfg.Selector == Bucket {
 		return moves.WrapBuckets(ds.NewBuckets(n, maxGain))
 	}
-	return moves.WrapTree(ds.NewAVLTree(n))
+	return moves.WrapHeap(ds.NewLIFOGainHeap(n))
 }
 
 // MoveLock implements moves.NodePolicy: lock u, apply the delta rules to

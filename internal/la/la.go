@@ -7,8 +7,9 @@
 // compared lexicographically.
 //
 // The paper notes LA's memory blow-up for bucket structures; here vectors
-// are encoded into a single ordered key and kept in the shared AVL tree, so
-// the implementation is Θ(m) space like PROP while preserving LA semantics.
+// are encoded into a single ordered key and kept in a gain heap with LIFO
+// ties, so the implementation is Θ(m) space like PROP while preserving LA
+// semantics.
 // The pass protocol runs on the shared engine (internal/moves); this
 // package is the NodePolicy supplying vector computation and the
 // relevant-net update filter.
@@ -109,7 +110,7 @@ type engine struct {
 	maxDeg     int
 	nbrScratch []bool
 	nbrBuf     []int
-	trees      [2]moves.Container
+	heaps      [2]moves.Container
 	l          *moves.Loop
 	// updateAll (tests only) disables the relevant-net filter so the
 	// exactness of the filter can be checked against full recomputation.
@@ -216,7 +217,7 @@ func (e *engine) Algo() string { return "la" }
 func (e *engine) Key(u int) float64 { return e.key[u] }
 
 // BeginPass implements moves.NodePolicy: clear the binding counters,
-// recompute every vector and fill one AVL container per side.
+// recompute every vector and fill one LIFO gain heap per side.
 func (e *engine) BeginPass() [2]moves.Container {
 	n := e.b.H.NumNodes()
 	for s := 0; s < 2; s++ {
@@ -224,16 +225,16 @@ func (e *engine) BeginPass() [2]moves.Container {
 			e.lockedPins[s][i] = 0
 		}
 	}
-	e.trees = [2]moves.Container{
-		moves.WrapTree(ds.NewAVLTree(n)),
-		moves.WrapTree(ds.NewAVLTree(n)),
+	e.heaps = [2]moves.Container{
+		moves.WrapHeap(ds.NewLIFOGainHeap(n)),
+		moves.WrapHeap(ds.NewLIFOGainHeap(n)),
 	}
 	for u := 0; u < n; u++ {
 		e.locked[u] = false
 		e.computeVec(u)
-		e.trees[e.b.Side(u)].Insert(u, e.key[u])
+		e.heaps[e.b.Side(u)].Insert(u, e.key[u])
 	}
-	return e.trees
+	return e.heaps
 }
 
 // MoveLock implements moves.NodePolicy: move u, bump its nets' binding
@@ -271,7 +272,7 @@ func (e *engine) MoveLock(u int) float64 {
 	for _, v := range e.nbrBuf {
 		e.nbrScratch[v] = false
 		e.computeVec(v)
-		e.trees[e.b.Side(v)].Update(v, e.key[v])
+		e.heaps[e.b.Side(v)].Update(v, e.key[v])
 	}
 	if e.selfCheck && e.checkErr == nil {
 		for v := 0; v < e.b.H.NumNodes(); v++ {

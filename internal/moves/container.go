@@ -11,10 +11,9 @@ import (
 // best-first feasibility scans; policies keep a concrete reference when
 // they need structure-specific operations (e.g. PROP's TopK refresh).
 //
-// Insert is an upsert: inserting a present node re-keys it. All three
-// wrappers preserve their structure's historical tie-break semantics
-// exactly (see each constructor), which the golden bit-identity tests
-// pin.
+// Insert is an upsert: inserting a present node re-keys it. Both
+// wrappers keep their structure's tie-break exactly (see each
+// constructor), which the golden bit-identity tests pin.
 type Container interface {
 	// Insert adds u with the given key, or re-keys it if present.
 	Insert(u int, key float64)
@@ -61,52 +60,12 @@ func (c bucketContainer) FirstFeasible(ok func(int) bool) (int, bool) {
 	return best, found
 }
 
-// treeContainer adapts ds.AVLTree with an insertion clock: every
-// (re)insertion stamps the node so equal keys order most-recent-first,
-// matching the bucket structure's LIFO tie-break. The clock is per
-// container; stamps are only ever compared within one tree, so this is
-// equivalent to the historical shared-clock formulation.
-type treeContainer struct {
-	t     *ds.AVLTree
-	clock *int64
-}
-
-// WrapTree wraps an AVL tree (float keys, arbitrary net costs).
-func WrapTree(t *ds.AVLTree) Container { return treeContainer{t: t, clock: new(int64)} }
-
-func (c treeContainer) Insert(u int, key float64) {
-	if c.t.Contains(u) {
-		c.t.Delete(u)
-	}
-	*c.clock++
-	c.t.SetStamp(u, *c.clock)
-	c.t.Insert(u, key)
-}
-func (c treeContainer) Update(u int, key float64) {
-	c.t.Delete(u)
-	*c.clock++
-	c.t.SetStamp(u, *c.clock)
-	c.t.Insert(u, key)
-}
-func (c treeContainer) Remove(u int) { c.t.Delete(u) }
-func (c treeContainer) Len() int     { return c.t.Len() }
-func (c treeContainer) FirstFeasible(ok func(int) bool) (int, bool) {
-	best, found := -1, false
-	c.t.TopDown(func(u int, _ float64) bool {
-		if ok(u) {
-			best, found = u, true
-			return false
-		}
-		return true
-	})
-	return best, found
-}
-
-// heapContainer adapts ds.GainHeap: in-place keyed updates, deterministic
-// (gain desc, ID asc) order, non-mutating top-down scans.
+// heapContainer adapts ds.GainHeap: float keys (arbitrary net costs),
+// in-place keyed updates, non-mutating top-down scans in the heap's
+// strict order — ID ties for PROP, LIFO ties for FM-tree and LA.
 type heapContainer struct{ h *ds.GainHeap }
 
-// WrapHeap wraps an indexed gain heap (PROP's selection structure).
+// WrapHeap wraps an indexed gain heap.
 func WrapHeap(h *ds.GainHeap) Container { return heapContainer{h} }
 
 func (c heapContainer) Insert(u int, key float64) { c.h.Insert(u, key) }

@@ -30,8 +30,9 @@ type LocalGraph interface {
 // It owns its own incremental state (sides, per-net side pin counts, side
 // weights, cut) because it runs on views partition.Bisection cannot wrap,
 // but it reuses the shared pass protocol end to end: gain containers are
-// per-side SparseGainHeaps behind the same strict order as every other
-// container, passes implement PassRunner so Run drives convergence and
+// per-side ds.GainHeaps over one shared position index (memory follows the
+// active set, not the ID space) scanned by the heap container's
+// FirstFeasible, passes implement PassRunner so Run drives convergence and
 // trace emission, and the kept prefix comes from PassLog.BestPrefix with
 // RollbackWith undoing rejected moves. Feasibility uses the fine graph's
 // maximum node weight as constant slack, the same window the V-cycle
@@ -48,12 +49,13 @@ type Localized struct {
 	total    int64
 	cut      float64
 
-	heap      [2]*ds.SparseGainHeap
-	pos       []int32 // shared by both heaps (disjoint membership)
-	locked    []int32 // stamped with lockEpoch: one move per node per pass
-	touched   []int32 // stamped with epoch: episode active-set membership
-	epoch     int32   // bumped per Refine episode
-	lockEpoch int32   // bumped per pass
+	heap      [2]*ds.GainHeap
+	pos       []int32          // shared by both heaps (disjoint membership)
+	feas      func(u int) bool // l.feasible, bound once: no per-scan closure
+	locked    []int32          // stamped with lockEpoch: one move per node per pass
+	touched   []int32          // stamped with epoch: episode active-set membership
+	epoch     int32            // bumped per Refine episode
+	lockEpoch int32            // bumped per pass
 
 	active  []int32 // nodes eligible for this episode's containers
 	pending []int32 // seeds accumulated since the last Refine
@@ -102,8 +104,9 @@ func NewLocalized(g LocalGraph, bal partition.Balance, slack int64, side []uint8
 	ds.FillAbsent(l.pos)
 	l.locked = pool.I32(n)
 	l.touched = pool.I32(n)
-	l.heap[0] = ds.NewSparseGainHeap(l.pos)
-	l.heap[1] = ds.NewSparseGainHeap(l.pos)
+	l.heap[0] = ds.NewSharedGainHeap(l.pos)
+	l.heap[1] = ds.NewSharedGainHeap(l.pos)
+	l.feas = l.feasible
 	return l
 }
 
@@ -277,25 +280,11 @@ func (l *Localized) RunPass() (float64, int, int) {
 	return gmax, l.log.Len(), p
 }
 
-// firstFeasible scans h best-first for the first node whose move keeps
-// balance — the container FirstFeasible contract on a sparse heap.
-func (l *Localized) firstFeasible(h *ds.SparseGainHeap) (int, bool) {
-	best, found := -1, false
-	h.TopDown(func(u int, _ float64) bool {
-		if l.feasible(u) {
-			best, found = u, true
-			return false
-		}
-		return true
-	})
-	return best, found
-}
-
 // selectBest mirrors the engine's two-container selection: each side's
 // best feasible candidate, ties to side 0.
 func (l *Localized) selectBest() (int, bool) {
-	u0, ok0 := l.firstFeasible(l.heap[0])
-	u1, ok1 := l.firstFeasible(l.heap[1])
+	u0, ok0 := heapContainer{l.heap[0]}.FirstFeasible(l.feas)
+	u1, ok1 := heapContainer{l.heap[1]}.FirstFeasible(l.feas)
 	switch {
 	case ok0 && ok1:
 		if l.heap[0].Gain(u0) >= l.heap[1].Gain(u1) {

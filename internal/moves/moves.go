@@ -17,7 +17,7 @@
 //     computation and rollback shared by all of the above.
 //
 // A policy owns everything heuristic-specific: which gain container the
-// pass uses (bucket array, AVL tree, indexed heap — see Container), how a
+// pass uses (bucket array or indexed gain heap — see Container), how a
 // node's selection key is computed, and what state to update after a move
 // locks (delta gain rules for FM, gain-vector recomputation for LA,
 // probability refresh for PROP). The engine owns everything protocol-

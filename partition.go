@@ -32,7 +32,7 @@ type Algorithm string
 const (
 	AlgoPROP     Algorithm = "prop"
 	AlgoFM       Algorithm = "fm"       // FM, bucket selector (unit net costs)
-	AlgoFMTree   Algorithm = "fm-tree"  // FM, AVL selector (any net costs)
+	AlgoFMTree   Algorithm = "fm-tree"  // FM, heap selector with LIFO ties (any net costs)
 	AlgoLA       Algorithm = "la"       // Krishnamurthy lookahead (Options.LADepth)
 	AlgoKL       Algorithm = "kl"       // Kernighan–Lin pair swaps
 	AlgoEIG1     Algorithm = "eig1"     // spectral Fiedler bisection
@@ -85,7 +85,7 @@ func AlgorithmInfos() []AlgorithmInfo {
 	return []AlgorithmInfo{
 		{AlgoPROP, "probability-based gains (the paper's contribution)", true, true, true},
 		{AlgoFM, "Fiduccia–Mattheyses, bucket selector (unit net costs)", true, true, true},
-		{AlgoFMTree, "Fiduccia–Mattheyses, AVL selector (any net costs)", true, true, true},
+		{AlgoFMTree, "Fiduccia–Mattheyses, heap selector, LIFO ties (any net costs)", true, true, true},
 		{AlgoLA, "Krishnamurthy lookahead gain vectors (Options.LADepth)", true, true, true},
 		{AlgoKL, "Kernighan–Lin pair swaps on the clique expansion", true, true, true},
 		{AlgoSK, "Schweikert–Kernighan netlist pair swaps", true, true, true},

@@ -63,6 +63,19 @@ if [ -n "$builders" ]; then
 	exit 1
 fi
 
+echo "== container guard =="
+# One ordered container for float gains: ds.GainHeap, with ID or LIFO
+# ties, owning its position index or sharing one. A sift or rotate method
+# outside internal/ds means a second gain heap or search tree came back.
+containers=$(grep -rnE --include='*.go' --exclude='*_test.go' \
+	'^func \([^)]*\) (siftUp|siftDown|rotateLeft|rotateRight)\(' . |
+	grep -v '^\./internal/ds/' || true)
+if [ -n "$containers" ]; then
+	echo "ordered gain containers outside internal/ds (use ds.GainHeap):" >&2
+	echo "$containers" >&2
+	exit 1
+fi
+
 echo "== harness guard =="
 # One solve path for the reproduction: internal/bench runs its studies
 # through prop.Partition and prop.Repartition. An engine, the polish
@@ -103,11 +116,13 @@ if ! cmp -s "$tracedir/cut.txt" "$tracedir/cut_untraced.txt"; then
 fi
 
 echo "== fuzz smoke =="
-# Short native-fuzz runs over the netlist readers: enough to replay the
-# corpus and shake the obvious parser panics without stalling CI.
+# Short native-fuzz runs over the netlist readers and the gain heap:
+# enough to replay the corpus and shake the obvious parser panics and
+# heap-order bugs without stalling CI.
 for target in FuzzReadHGR FuzzReadJSON FuzzReadNetAre; do
 	go test -run=NONE -fuzz="^${target}\$" -fuzztime=10s ./internal/hgio
 done
+go test -run=NONE -fuzz='^FuzzGainHeap$' -fuzztime=10s ./internal/ds
 
 echo "== warm-start smoke =="
 # Incremental golden check: partition, perturb with a delta, repartition
