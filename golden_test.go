@@ -273,3 +273,86 @@ func TestGoldenTracingInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenCutsBaselines pins the remaining single-algorithm engines —
+// KL, SA and the deterministic EIG1, MELO, PARABOLI and WINDOW, which
+// ignore Runs — on balu at the runs and seed the other goldens use.
+func TestGoldenCutsBaselines(t *testing.T) {
+	n, err := prop.Benchmark("balu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		algo prop.Algorithm
+		want golden
+	}{
+		{prop.AlgoKL, golden{73, 2, 0xe18731e551b45e34}},
+		{prop.AlgoSA, golden{43, 2, 0x9c04552656241da5}},
+		{prop.AlgoEIG1, golden{310, 0, 0x55f39d902bfa897c}},
+		{prop.AlgoMELO, golden{328, 0, 0xe24ed1796b7e8093}},
+		{prop.AlgoParaboli, golden{141, 0, 0xed45ecf35d403710}},
+		{prop.AlgoWindow, golden{43, 0, 0x2ad7415ebebe43ac}},
+	}
+	for _, tc := range cases {
+		check(t, n, tc.algo, 3, 7, tc.want)
+	}
+}
+
+// kwayGolden records a k-way outcome: cut cost, cut nets and the FNV-1a
+// hash of the part vector.
+type kwayGolden struct {
+	cost float64
+	nets int
+	hash uint64
+}
+
+// TestGoldenCutsKWay pins recursive KWay (k = 4, PROP) and KWayDirect
+// (k = 3) on balu, at Parallel 1 and 4, and recounts each cut from the
+// netlist.
+func TestGoldenCutsKWay(t *testing.T) {
+	n, err := prop.Benchmark("balu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		k    int
+		run  func(*prop.Netlist, int, prop.Options) (prop.KWayResult, error)
+		want kwayGolden
+	}{
+		{"KWay", 4, prop.KWay, kwayGolden{67, 67, 0x27ecb781283847a3}},
+		{"KWayDirect", 3, prop.KWayDirect, kwayGolden{100, 100, 0x8f209c030305435c}},
+	}
+	for _, tc := range cases {
+		for _, par := range []int{1, 4} {
+			res, err := tc.run(n, tc.k, prop.Options{Algorithm: prop.AlgoPROP, Runs: 3, Seed: 7, Parallel: par})
+			if err != nil {
+				t.Fatalf("%s Parallel=%d: %v", tc.name, par, err)
+			}
+			parts := make([]uint8, len(res.Parts))
+			for u, p := range res.Parts {
+				parts[u] = uint8(p)
+			}
+			if got := (kwayGolden{res.CutCost, res.CutNets, sideHash(parts)}); got != tc.want {
+				t.Errorf("%s Parallel=%d: got {cost:%g nets:%d hash:%#x}, want {cost:%g nets:%d hash:%#x}",
+					tc.name, par, got.cost, got.nets, got.hash, tc.want.cost, tc.want.nets, tc.want.hash)
+			}
+			if len(res.PartWeights) != tc.k {
+				t.Errorf("%s: %d part weights, want %d", tc.name, len(res.PartWeights), tc.k)
+			}
+			cut := 0
+			for e := 0; e < n.NumNets(); e++ {
+				pins := n.Net(e)
+				for _, u := range pins[1:] {
+					if res.Parts[u] != res.Parts[pins[0]] {
+						cut++
+						break
+					}
+				}
+			}
+			if cut != res.CutNets {
+				t.Errorf("%s Parallel=%d: recount %d cut nets, reported %d", tc.name, par, cut, res.CutNets)
+			}
+		}
+	}
+}
