@@ -54,7 +54,6 @@ func main() {
 		algo     = flag.String("algo", "prop", "algorithm: prop, fm, fm-tree, la, kl, sk, flow, sa, ml-prop, eig1, melo, paraboli, window")
 		laK      = flag.Int("la", 2, "lookahead depth for -algo la")
 		mlMode   = flag.String("ml-mode", "", "hierarchy style for -algo ml-prop: vcycle or nlevel")
-		mlBatch  = flag.Int("ml-batch", 0, "uncontraction batch size for -ml-mode nlevel (0 = default)")
 		r1       = flag.Float64("r1", 0.5, "lower balance bound")
 		r2       = flag.Float64("r2", 0.5, "upper balance bound")
 		runs     = flag.Int("runs", 20, "multi-start runs for iterative algorithms")
@@ -93,8 +92,8 @@ func main() {
 		Runs: *runs, Seed: *seed, LADepth: *laK,
 		Parallel: *par,
 	}
-	if *mlMode != "" || *mlBatch != 0 {
-		opts.ML = &prop.MLParams{Mode: *mlMode, UncontractBatch: *mlBatch}
+	if *mlMode != "" {
+		opts.ML = &prop.MLParams{Mode: *mlMode}
 	}
 
 	lvl, ok := prop.ParseTraceLevel(*traceLvl)

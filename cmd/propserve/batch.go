@@ -45,11 +45,15 @@ type batchLine struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// batchItemPayload validates one item's shape and converts it to the
-// journaled payload form. The shared query string rides along so the
-// executor re-derives the knobs the same way /v1/jobs does.
-func batchItemPayload(rawQuery string, it batchItem) (jobPayload, error) {
+// batchItemPayload validates one item's shape against the batch's part
+// count k and converts it to the journaled payload form. The shared query
+// string rides along so the executor re-derives the knobs the same way
+// /v1/jobs does.
+func batchItemPayload(rawQuery string, k int, it batchItem) (jobPayload, error) {
 	if it.Delta != nil {
+		if err := checkRepartitionK(k); err != nil {
+			return jobPayload{}, fmt.Errorf("delta item: %w", err)
+		}
 		if it.BaseJob == "" && len(it.Netlist) == 0 {
 			return jobPayload{}, errors.New("delta item: want base_job or netlist+sides")
 		}
@@ -108,7 +112,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	outstanding := map[string]bool{}
 	pending := 0
 	for i, it := range breq.Items {
-		pl, err := batchItemPayload(r.URL.RawQuery, it)
+		pl, err := batchItemPayload(r.URL.RawQuery, req.k, it)
 		if err != nil {
 			immediate = append(immediate, batchLine{Index: i, Error: err.Error()})
 			continue

@@ -494,6 +494,35 @@ func TestBatchRepartitionItems(t *testing.T) {
 	if err := json.Unmarshal(byIndex[1].Result, &rep); err != nil || len(rep.Sides) != 120 {
 		t.Errorf("repartition item result = %s (err %v)", byIndex[1].Result, err)
 	}
+
+	// Under k ≠ 2 the delta item is refused with an error naming k.
+	resp4, err := http.Post(ts.URL+"/v1/batch?runs=2&seed=1&k=4", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp4.Body.Close()
+	if resp4.StatusCode != http.StatusOK {
+		t.Fatalf("k=4 status %d", resp4.StatusCode)
+	}
+	sc = bufio.NewScanner(resp4.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	byIndex = map[int]batchLine{}
+	for sc.Scan() {
+		var line batchLine
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("bad line %q: %v", sc.Text(), err)
+		}
+		byIndex[line.Index] = line
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if l := byIndex[0]; !l.OK {
+		t.Errorf("k=4 partition item not ok: %+v", l)
+	}
+	if l := byIndex[1]; l.OK || !strings.Contains(l.Error, "k=4") {
+		t.Errorf("k=4 delta item: ok=%t error %q, want ok=false with an error naming k", l.OK, l.Error)
+	}
 }
 
 // TestBatchValidation pins the request-level failure modes: empty items,

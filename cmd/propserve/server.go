@@ -698,6 +698,15 @@ func (s *server) baseFromStore(id string) (*prop.Netlist, []uint8, error) {
 	return nl, sides, nil
 }
 
+// checkRepartitionK refuses repartition work for k ≠ 2: the incremental
+// path warm-starts and polishes a bisection.
+func checkRepartitionK(k int) error {
+	if k != 2 {
+		return fmt.Errorf("repartition supports k=2 only (got k=%d)", k)
+	}
+	return nil
+}
+
 // runRepartition executes the incremental path: apply a netlist delta to
 // a base state, project the previous sides through the mapping, and
 // warm-start the partitioner (prop.RepartitionCtx) instead of solving
@@ -786,6 +795,9 @@ func (s *server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req, err := s.decodeQuery(r)
+	if err == nil {
+		err = checkRepartitionK(req.k)
+	}
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return

@@ -161,6 +161,13 @@ func TestPartitionEndpointKWay(t *testing.T) {
 	if len(pr.Sides) != 0 {
 		t.Errorf("k-way response carries 2-way sides")
 	}
+	resp = postHGR(t, ts.URL+"/v1/partition?algo=ml-prop&k=4", hgr)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ml-prop k=4 status %d", resp.StatusCode)
+	}
+	if pr := decodeBody[partitionResponse](t, resp); pr.K != 4 || len(pr.PartWeights) != 4 {
+		t.Errorf("ml-prop k-way response = %+v", pr)
+	}
 }
 
 func TestPartitionEndpointErrors(t *testing.T) {
@@ -844,15 +851,16 @@ func TestRepartitionFromBaseJob(t *testing.T) {
 
 func TestRepartitionErrors(t *testing.T) {
 	ts, _ := newTestServerConfig(t, serverConfig{})
-	post := func(body string) int {
+	postQuery := func(query, body string) int {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/repartition", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/repartition"+query, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		return resp.StatusCode
 	}
+	post := func(body string) int { t.Helper(); return postQuery("", body) }
 	if got := post(`{"base_job": "j9", "delta": {}}`); got != http.StatusNotFound {
 		t.Errorf("unknown base job status %d, want 404", got)
 	}
@@ -864,6 +872,22 @@ func TestRepartitionErrors(t *testing.T) {
 	}
 	if got := post(`{"delta": {}}`); got != http.StatusBadRequest {
 		t.Errorf("missing base status %d, want 400", got)
+	}
+	// A valid body under k ≠ 2 is refused, not silently bisected.
+	n, err := prop.Generate(prop.GenParams{Nodes: 120, Nets: 140, Pins: 480, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := prop.Partition(n, prop.Options{Runs: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := repartitionBody(t, n, prev.Sides, &prop.Delta{Recost: []prop.DeltaNetCost{{Net: 0, Cost: 3}}})
+	if got := postQuery("?runs=1", string(body)); got != http.StatusOK {
+		t.Errorf("k=2 status %d, want 200", got)
+	}
+	if got := postQuery("?runs=1&k=4", string(body)); got != http.StatusBadRequest {
+		t.Errorf("k=4 status %d, want 400", got)
 	}
 }
 

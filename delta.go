@@ -61,9 +61,9 @@ func (n *Netlist) Fingerprint() uint64 { return n.h.Fingerprint() }
 
 // Fingerprint returns a 64-bit content hash of every option that affects
 // partitioning results: algorithm, balance, runs, seed, lookahead depth,
-// clustered/warm start and PROP/Flow/ML parameter overrides. Parallel,
-// OnRun, Tracer and TraceID are excluded — results are bit-identical
-// across their values by construction.
+// warm start and ML hierarchy mode. Parallel, OnRun, Tracer and TraceID
+// are excluded — results are bit-identical across their values by
+// construction.
 func (o Options) Fingerprint() uint64 {
 	f := fnv.New64a()
 	var b [8]byte
@@ -77,37 +77,12 @@ func (o Options) Fingerprint() uint64 {
 	put(uint64(o.Runs))
 	put(uint64(o.Seed))
 	put(uint64(o.LADepth))
-	if o.ClusteredStart {
-		put(1)
-	} else {
-		put(0)
-	}
 	if o.Initial != nil {
 		put(uint64(len(o.Initial)))
 		_, _ = f.Write(o.Initial)
 	}
-	if p := o.PROP; p != nil {
-		put(math.Float64bits(p.PInit))
-		put(math.Float64bits(p.PMin))
-		put(math.Float64bits(p.PMax))
-		put(math.Float64bits(p.GLo))
-		put(math.Float64bits(p.GUp))
-		put(uint64(p.Refinements))
-		put(uint64(p.TopK))
-		if p.DeterministicInit {
-			put(1)
-		}
-	}
-	if p := o.Flow; p != nil {
-		put(uint64(p.Radius))
-		put(math.Float64bits(p.MaxFrac))
-		put(uint64(p.Rounds))
-	}
-	// ML hierarchy knobs change the result, so they participate; appended
-	// last so pre-existing fingerprints (ML == nil) are unchanged.
-	if p := o.ML; p != nil {
-		_, _ = f.Write([]byte(p.Mode))
-		put(uint64(p.UncontractBatch))
+	if o.ML != nil {
+		_, _ = f.Write([]byte(o.ML.Mode))
 	}
 	return f.Sum64()
 }
@@ -166,9 +141,8 @@ func RepartitionCtx(ctx context.Context, base *Netlist, prevSides []uint8, d *De
 		polishStart := time.Now()
 		// Trace-tag polish stages with the run index past the portfolio.
 		p, err := warm.PolishWith(edited.h, res.Sides, res.CutCost, res.CutNets,
-			propConfig(bal, o, res.Runs),
 			refine.Options{Algorithm: partner, Balance: bal, LADepth: o.LADepth,
-				Flow: flowParams(o), Tracer: o.Tracer, TraceRun: res.Runs})
+				Tracer: o.Tracer, TraceRun: res.Runs})
 		if err != nil {
 			return nil, Result{}, err
 		}

@@ -20,25 +20,27 @@ import (
 	"prop/internal/partition"
 )
 
+// The annealing schedule. The starting temperature is estimated from the
+// standard deviation of random move deltas.
+const (
+	// cooling is the geometric factor per temperature step.
+	cooling = 0.95
+	// movesPerNode sets the move budget per temperature to movesPerNode·n.
+	movesPerNode = 8
+	// freezeAfter stops after this many consecutive temperatures without
+	// accepting an improving move.
+	freezeAfter = 4
+	// minTemp floors the schedule.
+	minTemp = 1e-3
+	// balancePenalty weights the quadratic imbalance term per unit weight
+	// beyond the bounds.
+	balancePenalty = 1.0
+)
+
 // Config controls the annealer.
 type Config struct {
 	Balance partition.Balance
-	// InitialTemp is the starting temperature; 0 selects an estimate from
-	// the standard deviation of random move deltas.
-	InitialTemp float64
-	// Cooling is the geometric factor per temperature step (0 → 0.95).
-	Cooling float64
-	// MovesPerTemp is the move budget per temperature (0 → 8·n).
-	MovesPerTemp int
-	// FreezeAfter stops after this many consecutive temperatures without
-	// accepting an improving move (0 → 4).
-	FreezeAfter int
-	// MinTemp floors the schedule (0 → 1e-3).
-	MinTemp float64
-	// BalancePenalty weights the quadratic imbalance term (0 → 1.0 per
-	// unit weight beyond the bounds).
-	BalancePenalty float64
-	Seed           int64
+	Seed    int64
 }
 
 // Result reports the outcome.
@@ -59,30 +61,13 @@ func Partition(h *hypergraph.Hypergraph, initial []uint8, cfg Config) (Result, e
 	if len(initial) != h.NumNodes() {
 		return Result{}, fmt.Errorf("anneal: initial sides has %d entries for %d nodes", len(initial), h.NumNodes())
 	}
-	if cfg.Cooling == 0 {
-		cfg.Cooling = 0.95
-	}
-	if cfg.Cooling <= 0 || cfg.Cooling >= 1 {
-		return Result{}, fmt.Errorf("anneal: cooling factor %g out of (0,1)", cfg.Cooling)
-	}
-	if cfg.MovesPerTemp == 0 {
-		cfg.MovesPerTemp = 8 * h.NumNodes()
-	}
-	if cfg.FreezeAfter == 0 {
-		cfg.FreezeAfter = 4
-	}
-	if cfg.MinTemp == 0 {
-		cfg.MinTemp = 1e-3
-	}
-	if cfg.BalancePenalty == 0 {
-		cfg.BalancePenalty = 1.0
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b, err := partition.NewBisection(h, initial)
 	if err != nil {
 		return Result{}, err
 	}
 	n := h.NumNodes()
+	movesPerTemp := movesPerNode * n
 	total := h.TotalNodeWeight()
 	lo, hi := cfg.Balance.Bounds(total)
 
@@ -91,10 +76,10 @@ func Partition(h *hypergraph.Hypergraph, initial []uint8, cfg Config) (Result, e
 		switch {
 		case w0 < lo:
 			d := float64(lo - w0)
-			return cfg.BalancePenalty * d * d
+			return balancePenalty * d * d
 		case w0 > hi:
 			d := float64(w0 - hi)
-			return cfg.BalancePenalty * d * d
+			return balancePenalty * d * d
 		}
 		return 0
 	}
@@ -111,31 +96,29 @@ func Partition(h *hypergraph.Hypergraph, initial []uint8, cfg Config) (Result, e
 		return dCut + penalty(w0After) - penalty(w0)
 	}
 
-	temp := cfg.InitialTemp
-	if temp == 0 {
-		// Estimate: stddev of random move deltas (standard SA warm-up).
-		var sum, sumSq float64
-		const probes = 200
-		for i := 0; i < probes; i++ {
-			d := delta(rng.Intn(n))
-			sum += d
-			sumSq += d * d
-		}
-		mean := sum / probes
-		temp = math.Sqrt(sumSq/probes-mean*mean) * 20
-		if temp <= 0 || math.IsNaN(temp) {
-			temp = 10
-		}
+	// Starting temperature: stddev of random move deltas (standard SA
+	// warm-up).
+	var sum, sumSq float64
+	const probes = 200
+	for i := 0; i < probes; i++ {
+		d := delta(rng.Intn(n))
+		sum += d
+		sumSq += d * d
+	}
+	mean := sum / probes
+	temp := math.Sqrt(sumSq/probes-mean*mean) * 20
+	if temp <= 0 || math.IsNaN(temp) {
+		temp = 10
 	}
 
 	bestSides := b.Sides()
 	bestCut := b.CutCost() + penalty(b.SideWeight(0))
 	res := Result{}
 	frozen := 0
-	for temp > cfg.MinTemp && frozen < cfg.FreezeAfter {
+	for temp > minTemp && frozen < freezeAfter {
 		improvedThisTemp := false
 		acceptedThisTemp := 0
-		for m := 0; m < cfg.MovesPerTemp; m++ {
+		for m := 0; m < movesPerTemp; m++ {
 			u := rng.Intn(n)
 			d := delta(u)
 			if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
@@ -155,12 +138,12 @@ func Partition(h *hypergraph.Hypergraph, initial []uint8, cfg Config) (Result, e
 		// best state stopped improving; freezing on best-improvement alone
 		// would abort during the hot random-walk phase, where the global
 		// best rarely moves.
-		if improvedThisTemp || acceptedThisTemp*50 > cfg.MovesPerTemp {
+		if improvedThisTemp || acceptedThisTemp*50 > movesPerTemp {
 			frozen = 0
 		} else {
 			frozen++
 		}
-		temp *= cfg.Cooling
+		temp *= cooling
 		res.Temperatures++
 	}
 

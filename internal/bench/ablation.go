@@ -22,8 +22,7 @@ type ablationVariant struct {
 // refinement iterations, top-K refresh width, probability clamps and gain
 // thresholds — and reports best-of-10 cuts and per-run times on three
 // mid-size suite circuits. It drives core.Partition directly rather than
-// prop.Partition: the refinements=0 and topK=0 variants are zero values,
-// which prop.PROPParams reads as "use the paper's default".
+// prop.Partition, which runs PROP at the paper's parameters only.
 func WriteAblation(w io.Writer, seed int64) error {
 	variants := []ablationVariant{
 		{"paper-default", func(*core.Config) {}},

@@ -1,20 +1,19 @@
-// Package cluster provides heavy-edge matching coarsening and clustered
-// initial partitions — the "clustering initial phase" the paper's §5
-// proposes combining with PROP. Every hierarchy is a hypergraph.Contracted
-// view coarsened in place, one memento per contracted pair: CoarsenRounds
-// matches whole rounds against a fixed level (the V-cycle), CoarsenInPlace
-// contracts each pair as soon as it is rated (the n-level hierarchy).
+// Package cluster provides heavy-edge matching coarsening — the
+// "clustering initial phase" the paper's §5 proposes combining with PROP,
+// which internal/multilevel builds on. Every hierarchy is a
+// hypergraph.Contracted view coarsened in place, one memento per
+// contracted pair: CoarsenRounds matches whole rounds against a fixed
+// level (the V-cycle), CoarsenInPlace contracts each pair as soon as it is
+// rated (the n-level hierarchy).
 package cluster
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
 
 	"prop/internal/hypergraph"
 	"prop/internal/obs"
-	"prop/internal/partition"
 )
 
 // rater scores the heavy-edge affinity w(u,v) = Σ cost(e)/(|e|−1) over the
@@ -154,87 +153,4 @@ func Unwind(c *hypergraph.Contracted, depth int, sides []uint8) {
 		m, caseA = c.Uncontract(caseA[:0])
 		sides[m.V] = sides[m.U]
 	}
-}
-
-// ClusteredSides produces an initial bisection by coarsening to roughly
-// clusters nodes, splitting the clusters greedily by weight, and unwinding
-// back to the fine level — the paper's proposed clustering pre-phase (§5).
-func ClusteredSides(h *hypergraph.Hypergraph, bal partition.Balance, clusters int, seed int64) ([]uint8, error) {
-	if clusters < 2 {
-		clusters = 2
-	}
-	c, err := hypergraph.NewContracted(h, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Release()
-	if _, err := CoarsenRounds(c, clusters, seed, nil, nil, 0); err != nil {
-		return nil, err
-	}
-	// Greedy weight packing: heaviest cluster first into the lighter side,
-	// which lands within bounds whenever feasible at this coarseness.
-	var reps []int32
-	for u := 0; u < c.NumNodes(); u++ {
-		if c.Alive(u) {
-			reps = append(reps, int32(u))
-		}
-	}
-	slices.SortFunc(reps, func(a, b int32) int {
-		if d := cmp.Compare(c.NodeWeight(int(b)), c.NodeWeight(int(a))); d != 0 {
-			return d
-		}
-		return cmp.Compare(a, b)
-	})
-	sides := make([]uint8, h.NumNodes())
-	var w [2]int64
-	for _, u := range reps {
-		s := uint8(0)
-		if w[1] < w[0] {
-			s = 1
-		}
-		sides[u] = s
-		w[s] += c.NodeWeight(int(u))
-	}
-	Unwind(c, 0, sides)
-	// Repair pass at the fine level if greedy packing missed the window.
-	if err := repairBalance(h, sides, bal, seed); err != nil {
-		return nil, err
-	}
-	return sides, nil
-}
-
-// repairBalance flips lightest nodes from the heavy side until the bounds
-// (with one-cell slack) hold.
-func repairBalance(h *hypergraph.Hypergraph, sides []uint8, bal partition.Balance, seed int64) error {
-	total := h.TotalNodeWeight()
-	var w [2]int64
-	for u, s := range sides {
-		w[s] += h.NodeWeight(u)
-	}
-	var maxW int64 = 1
-	for u := 0; u < h.NumNodes(); u++ {
-		if nw := h.NodeWeight(u); nw > maxW {
-			maxW = nw
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(h.NumNodes())
-	for _, u := range perm {
-		if bal.FeasibleWithSlack(w[0], total, maxW) {
-			return nil
-		}
-		heavy := uint8(0)
-		if w[1] > w[0] {
-			heavy = 1
-		}
-		if sides[u] == heavy {
-			sides[u] = 1 - heavy
-			w[heavy] -= h.NodeWeight(u)
-			w[1-heavy] += h.NodeWeight(u)
-		}
-	}
-	if !bal.FeasibleWithSlack(w[0], total, maxW) {
-		return fmt.Errorf("cluster: could not repair balance (side-0 weight %d of %d)", w[0], total)
-	}
-	return nil
 }

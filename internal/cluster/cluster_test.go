@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math/rand"
 	"testing"
 
 	"prop/internal/gen"
@@ -106,74 +105,6 @@ func TestCoarseCutProjectsExactly(t *testing.T) {
 		}
 		if cb.CutCost() != fb.CutCost() {
 			t.Errorf("level %d: coarse cut %g, unwound fine cut %g", i+1, cb.CutCost(), fb.CutCost())
-		}
-	}
-}
-
-// TestClusteredSidesBalanced: the clustering pre-phase yields a feasible
-// initial bisection.
-func TestClusteredSidesBalanced(t *testing.T) {
-	h := gen.MustGenerate(gen.Params{Nodes: 500, Nets: 550, Pins: 1900, Seed: 53})
-	bal := partition.Exact5050()
-	sides, err := ClusteredSides(h, bal, 64, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := partition.NewBisection(h, sides)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bal.FeasibleWithSlack(b.SideWeight(0), h.TotalNodeWeight(), b.MaxNodeWeight()) {
-		t.Errorf("unbalanced: %d of %d", b.SideWeight(0), h.TotalNodeWeight())
-	}
-	// Clustered starts should beat random starts on average.
-	rb, err := partition.NewBisection(h, partition.RandomSides(h, bal, newRand(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.CutCost() >= rb.CutCost() {
-		t.Logf("note: clustered cut %g not below random cut %g on this instance", b.CutCost(), rb.CutCost())
-	}
-}
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// TestClusteredSidesGolden pins the clustering pre-phase's exact output
-// on three Table-1 clones at the parameters ClusteredStart uses (n/16+2
-// clusters, 50/50 balance): the cut and the FNV-1a hash of the sides.
-func TestClusteredSidesGolden(t *testing.T) {
-	want := map[string]struct {
-		cut  float64
-		hash uint64
-	}{
-		"balu":   {133, 0x3e6841d19ab4a18d},
-		"p1":     {128, 0xb5ce9e25ae8c54a9},
-		"s13207": {3645, 0x111988a00ae026e4},
-	}
-	for _, spec := range gen.Table1() {
-		w, ok := want[spec.Name]
-		if !ok {
-			continue
-		}
-		c, err := gen.SuiteCircuit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sides, err := ClusteredSides(c.H, partition.Exact5050(), c.H.NumNodes()/16+2, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := partition.NewBisection(c.H, sides)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hash := uint64(1469598103934665603)
-		for _, s := range sides {
-			hash ^= uint64(s)
-			hash *= 1099511628211
-		}
-		if b.CutCost() != w.cut || hash != w.hash {
-			t.Errorf("%s: cut %g hash %#x, want cut %g hash %#x", spec.Name, b.CutCost(), hash, w.cut, w.hash)
 		}
 	}
 }

@@ -69,9 +69,6 @@ type Config struct {
 	// recomputed after every move (§3.4, "say, five").
 	TopK int
 
-	// MaxPasses bounds improvement passes; 0 = run until G_max ≤ 0.
-	MaxPasses int
-
 	// Tracer, when non-nil, receives per-pass (and, at obs.LevelMove,
 	// per-move) trace events. Tracing is observation-only: it never
 	// changes the computed partition, and a nil Tracer costs one

@@ -31,7 +31,7 @@ func Partition(b *partition.Bisection, cfg Config) (Result, error) {
 	}
 	e := newPassEngine(b, cfg)
 	var passCuts []float64
-	out := moves.Run(e.loop(), cfg.MaxPasses, cfg.Tracer, cfg.TraceRun,
+	out := moves.Run(e.loop(), 0, cfg.Tracer, cfg.TraceRun,
 		func(gmax float64, m, kept int) {
 			e.ps.moves, e.ps.kept = m, kept
 			passCuts = append(passCuts, b.CutCost())

@@ -218,26 +218,6 @@ func TestZeroRefinements(t *testing.T) {
 	}
 }
 
-// TestMaxPassesRespected bounds the pass count.
-func TestMaxPassesRespected(t *testing.T) {
-	h := gen.MustGenerate(gen.Params{Nodes: 300, Nets: 330, Pins: 1100, Seed: 85})
-	bal := partition.Exact5050()
-	rng := rand.New(rand.NewSource(3))
-	b, err := partition.NewBisection(h, partition.RandomSides(h, bal, rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig(bal)
-	cfg.MaxPasses = 1
-	res, err := core.Partition(b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passes != 1 {
-		t.Errorf("Passes = %d, want 1", res.Passes)
-	}
-}
-
 // TestDeterministic: identical inputs give identical outputs.
 func TestDeterministic(t *testing.T) {
 	h := gen.MustGenerate(gen.Params{Nodes: 250, Nets: 270, Pins: 950, Seed: 86})

@@ -26,15 +26,18 @@ import (
 	"prop/internal/partition"
 )
 
-// Defaults for Params fields left zero.
 const (
-	// DefaultRadius is the corridor BFS depth around boundary nodes.
-	DefaultRadius = 3
-	// DefaultMaxFrac caps each side's corridor weight at this fraction of
-	// the total node weight.
-	DefaultMaxFrac = 0.125
-	// DefaultRounds bounds extract→flow→adopt rounds per Refine call.
-	DefaultRounds = 8
+	// radius is the BFS depth of the corridor around boundary nodes.
+	radius = 3
+	// maxFrac bounds each side's corridor weight to maxFrac × total node
+	// weight, the corridor analogue of the balance window slack: nodes
+	// beyond it are frozen exterior, so one round can shift at most that
+	// much weight across the cut.
+	maxFrac = 0.125
+	// rounds bounds the extract→flow→adopt rounds per Refine call;
+	// refinement also stops at the first round that fails to improve the
+	// cut.
+	rounds = 8
 	// maxExpandNet: nets with more pins than this seed no BFS expansion
 	// (they would pull whole netlist regions into the corridor); they are
 	// still modeled in the network when touched.
@@ -43,38 +46,9 @@ const (
 	epsCut = 1e-9
 )
 
-// Params are the tuning knobs of the flow stage; zero values select the
-// defaults above.
-type Params struct {
-	// Radius is the BFS depth of the corridor around boundary nodes.
-	Radius int
-	// MaxFrac bounds each side's corridor weight to MaxFrac × total node
-	// weight, the corridor analogue of the balance window slack: nodes
-	// beyond it are frozen exterior, so one round can shift at most that
-	// much weight across the cut.
-	MaxFrac float64
-	// Rounds bounds the number of extract→flow→adopt rounds; refinement
-	// also stops at the first round that fails to improve the cut.
-	Rounds int
-}
-
-func (p Params) withDefaults() Params {
-	if p.Radius <= 0 {
-		p.Radius = DefaultRadius
-	}
-	if p.MaxFrac <= 0 {
-		p.MaxFrac = DefaultMaxFrac
-	}
-	if p.Rounds <= 0 {
-		p.Rounds = DefaultRounds
-	}
-	return p
-}
-
 // Config configures one Refine call.
 type Config struct {
 	Balance partition.Balance
-	Params  Params
 
 	// Tracer, when non-nil, receives one obs.FlowRound event per round.
 	Tracer *obs.Tracer
@@ -95,11 +69,10 @@ type Result struct {
 
 // Refine polishes the given feasible bisection (initial is not modified)
 // with corridor max-flow rounds until a round fails to improve the cut or
-// cfg.Params.Rounds is reached. The returned sides never violate the
+// the round bound is reached. The returned sides never violate the
 // balance window Bounds±slack that partition.Verify enforces, and the
 // returned cut is never worse than the initial one.
 func Refine(h *hypergraph.Hypergraph, initial []uint8, cfg Config) (Result, error) {
-	p := cfg.Params.withDefaults()
 	if err := cfg.Balance.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -116,15 +89,15 @@ func Refine(h *hypergraph.Hypergraph, initial []uint8, cfg Config) (Result, erro
 	lo, hi = lo-slack, hi+slack
 
 	var res Result
-	sideCap := int64(p.MaxFrac * float64(total))
+	sideCap := int64(maxFrac * float64(total))
 	if sideCap < 1 {
 		sideCap = 1
 	}
-	for round := 0; round < p.Rounds; round++ {
+	for round := 0; round < rounds; round++ {
 		start := time.Now()
 		res.Rounds++
 		sp := cfg.Tracer.StartPhaseLevel(cfg.TraceRun, "corridor", round)
-		c := extractCorridor(b, p.Radius, sideCap)
+		c := extractCorridor(b, radius, sideCap)
 		sp.End()
 		adopted := false
 		var flowValue, cutAfter float64

@@ -199,7 +199,7 @@ func TestFractionalCostsScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Refine(h, initial, Config{Balance: bal, Params: Params{MaxFrac: 0.5}})
+	res, err := Refine(h, initial, Config{Balance: bal})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,9 +50,6 @@ func (s Selector) String() string {
 type Config struct {
 	Balance  partition.Balance
 	Selector Selector
-	// MaxPasses bounds the number of improvement passes; 0 means run until
-	// a pass yields no positive gain (the paper reports 2–4 in practice).
-	MaxPasses int
 
 	// Tracer, when non-nil, receives one event per pass (cut, G_max,
 	// moves). Observation-only; a nil Tracer costs one branch per pass.
@@ -87,7 +84,7 @@ func Partition(b *partition.Bisection, cfg Config) (Result, error) {
 		gain:   make([]float64, n),
 		locked: make([]bool, n),
 	}
-	out := moves.Run(eng.loop(), cfg.MaxPasses, cfg.Tracer, cfg.TraceRun, nil)
+	out := moves.Run(eng.loop(), 0, cfg.Tracer, cfg.TraceRun, nil)
 	return Result{
 		Sides:   b.Sides(),
 		CutCost: b.CutCost(),

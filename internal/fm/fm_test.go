@@ -94,24 +94,6 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-// TestMaxPassesRespected bounds the pass count.
-func TestMaxPassesRespected(t *testing.T) {
-	h := gen.MustGenerate(gen.Params{Nodes: 200, Nets: 230, Pins: 780, Seed: 8})
-	bal := partition.Exact5050()
-	rng := rand.New(rand.NewSource(6))
-	b, err := partition.NewBisection(h, partition.RandomSides(h, bal, rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fm.Partition(b, fm.Config{Balance: bal, Selector: fm.Bucket, MaxPasses: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passes != 1 {
-		t.Errorf("Passes = %d, want 1", res.Passes)
-	}
-}
-
 // TestBalance4555 runs under the Table-3 criterion.
 func TestBalance4555(t *testing.T) {
 	h := gen.MustGenerate(gen.Params{Nodes: 300, Nets: 330, Pins: 1100, Seed: 14})

@@ -10,7 +10,7 @@
 //
 // Selecting the best pair exactly costs Θ(n²) per step; this implementation
 // uses the standard candidate-list optimization, scanning only the top
-// Candidates nodes of each side by D value, which is exact whenever the
+// candidates nodes of each side by D value, which is exact whenever the
 // best pair's members rank within the list (w ≥ 0 bounds the correction
 // term) and a high-quality heuristic otherwise.
 //
@@ -29,12 +29,11 @@ import (
 	"prop/internal/partition"
 )
 
+// candidates bounds the per-side candidate list BestPair scans.
+const candidates = 32
+
 // Config controls a KL run.
 type Config struct {
-	// Candidates bounds the per-side candidate list (0 selects 32).
-	Candidates int
-	// MaxPasses bounds improvement passes; 0 = run until no improvement.
-	MaxPasses int
 	// Balance, when non-zero, is the (r1, r2) criterion swaps must keep
 	// both sides inside (with the classic single-cell slack). The zero
 	// value keeps the historical unconstrained behavior, which is exact
@@ -64,9 +63,6 @@ func Partition(h *hypergraph.Hypergraph, initial []uint8, cfg Config) (Result, e
 	if len(initial) != n {
 		return Result{}, fmt.Errorf("kl: initial sides has %d entries for %d nodes", len(initial), n)
 	}
-	if cfg.Candidates == 0 {
-		cfg.Candidates = 32
-	}
 	if cfg.Balance != (partition.Balance{}) {
 		if err := cfg.Balance.Validate(); err != nil {
 			return Result{}, err
@@ -90,7 +86,7 @@ func Partition(h *hypergraph.Hypergraph, initial []uint8, cfg Config) (Result, e
 		}
 	}
 	loop := &moves.PairLoop{Pol: e, Tracer: cfg.Tracer, TraceRun: cfg.TraceRun}
-	out := moves.Run(loop, cfg.MaxPasses, cfg.Tracer, cfg.TraceRun, nil)
+	out := moves.Run(loop, 0, cfg.Tracer, cfg.TraceRun, nil)
 
 	b, err := partition.NewBisection(h, e.side)
 	if err != nil {
@@ -214,7 +210,7 @@ func (e *engine) swapFits(a, b int) bool {
 		e.cfg.Balance.FeasibleWithSlack(w1, e.total, e.maxW)
 }
 
-// BestPair implements moves.PairPolicy: scan the top-Candidates unlocked
+// BestPair implements moves.PairPolicy: scan the top-candidates unlocked
 // nodes of each side by D value and return the balance-feasible pair
 // maximizing D(a)+D(b)−2·w(a,b).
 func (e *engine) BestPair() (int, int, bool) {
@@ -234,8 +230,8 @@ func (e *engine) BestPair() (int, int, bool) {
 	}
 	top := func(s []int) []int {
 		sort.Slice(s, func(i, j int) bool { return e.d[s[i]] > e.d[s[j]] })
-		if len(s) > e.cfg.Candidates {
-			s = s[:e.cfg.Candidates]
+		if len(s) > candidates {
+			s = s[:candidates]
 		}
 		return s
 	}

@@ -60,8 +60,6 @@ func (b Balance) bounds(total, maxW int64) (lo, hi int64) {
 type Config struct {
 	K       int
 	Balance Balance // zero value selects DefaultBalance(K)
-	// MaxPasses bounds improvement passes; 0 = until no improvement.
-	MaxPasses int
 
 	// Tracer, when non-nil, receives one event per pass (and per move at
 	// move-level verbosity). Observation-only.
@@ -271,7 +269,7 @@ func Partition(h *hypergraph.Hypergraph, initial []int, cfg Config) (Result, err
 	e := &engine{s: s, cfg: cfg,
 		locked:  make([]bool, h.NumNodes()),
 		scratch: make([]bool, h.NumNodes())}
-	out := moves.Run(e, cfg.MaxPasses, cfg.Tracer, cfg.TraceRun, nil)
+	out := moves.Run(e, 0, cfg.Tracer, cfg.TraceRun, nil)
 	return Result{
 		Parts:   s.Parts(),
 		CutCost: s.CutCost(),

@@ -27,9 +27,8 @@ import (
 
 // Config controls a run of LA-k.
 type Config struct {
-	K         int // lookahead depth; 1 degenerates to FM's gain (k=2..4 typical)
-	Balance   partition.Balance
-	MaxPasses int // 0 = run until no improving pass
+	K       int // lookahead depth; 1 degenerates to FM's gain (k=2..4 typical)
+	Balance partition.Balance
 
 	// Tracer, when non-nil, receives one event per pass. Observation-only.
 	Tracer *obs.Tracer
@@ -87,7 +86,7 @@ func Partition(b *partition.Bisection, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	e := newEngine(b, cfg)
-	out := moves.Run(e.loop(), cfg.MaxPasses, cfg.Tracer, cfg.TraceRun, nil)
+	out := moves.Run(e.loop(), 0, cfg.Tracer, cfg.TraceRun, nil)
 	return Result{
 		Sides:   b.Sides(),
 		CutCost: b.CutCost(),

@@ -7,7 +7,7 @@
 // positive G_max (Fig. 1 steps 5–10, Fig. 2 steps 5–10). This package
 // owns that skeleton exactly once:
 //
-//   - Run drives pass-level convergence (G_max ≤ EpsGain or MaxPasses)
+//   - Run drives pass-level convergence (G_max ≤ EpsGain or maxPasses)
 //     and emits one obs.Pass trace event per pass.
 //   - Loop is the canonical single-node pass: balance-gated best-first
 //     selection over two Containers, immediate-gain logging, and

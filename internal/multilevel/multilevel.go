@@ -26,11 +26,9 @@ import (
 // returns the refined sides and cut cost.
 type Refiner func(h *hypergraph.Hypergraph, sides []uint8, bal partition.Balance) ([]uint8, float64, error)
 
-// AlgoRefinerOpts refines with any locked-move engine configured by a full
-// refine.Options template; the per-level balance overwrites o.Balance.
-// This is how non-default knobs (MaxPasses, an explicit PROP config) reach
-// every level of the hierarchy.
-func AlgoRefinerOpts(o refine.Options) Refiner {
+// algoRefiner refines with the locked-move engine o selects; the
+// per-level balance overwrites o.Balance.
+func algoRefiner(o refine.Options) Refiner {
 	return func(h *hypergraph.Hypergraph, sides []uint8, bal partition.Balance) ([]uint8, float64, error) {
 		o := o
 		o.Balance = bal
@@ -45,7 +43,7 @@ func AlgoRefinerOpts(o refine.Options) Refiner {
 // FMRefiner refines with FM. Coarse levels carry weighted nets, so it uses
 // the tree selector: "fm" (bucket selector) only works on hierarchies of
 // unit-cost nets.
-func FMRefiner() Refiner { return AlgoRefinerOpts(refine.Options{Algorithm: "fm-tree"}) }
+func FMRefiner() Refiner { return algoRefiner(refine.Options{Algorithm: "fm-tree"}) }
 
 // Mode names for Config.Mode.
 const (
@@ -75,6 +73,10 @@ const (
 	coarsestNodes = 120
 	// initialRuns is the multi-start count at the coarsest level.
 	initialRuns = 10
+	// uncontractBatch is how many mementos n-level pops between localized
+	// refinement episodes. Smaller batches refine more often; larger ones
+	// amortize heap fills.
+	uncontractBatch = 64
 )
 
 // Config controls the hierarchy.
@@ -82,10 +84,6 @@ type Config struct {
 	Balance partition.Balance
 	// Mode selects the hierarchy style: ModeVCycle (default) or ModeNLevel.
 	Mode string
-	// UncontractBatch (n-level only) is how many mementos are popped
-	// between localized refinement episodes (0 → 64). Smaller batches
-	// refine more often; larger ones amortize heap fills.
-	UncontractBatch int
 	// InPlace mutates the input hypergraph's arenas during the hierarchy
 	// instead of copying them — the full unwind restores them bit-for-bit
 	// before Partition returns, on every exit path, halving peak memory.
@@ -139,11 +137,8 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config) (Re
 	if err := cfg.Balance.Validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.UncontractBatch == 0 {
-		cfg.UncontractBatch = 64
-	}
 	if cfg.Refine == nil {
-		cfg.Refine = AlgoRefinerOpts(refine.Options{
+		cfg.Refine = algoRefiner(refine.Options{
 			Algorithm: "prop", Tracer: cfg.Tracer, TraceRun: cfg.TraceRun,
 		})
 	}

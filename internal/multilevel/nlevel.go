@@ -73,7 +73,7 @@ func (r *hierarchy) nlevel(ctx context.Context) error {
 	return nil
 }
 
-// uncoarsen pops the whole memento stack in batches of UncontractBatch,
+// uncoarsen pops the whole memento stack in batches of uncontractBatch,
 // each pop reviving one node next to its representative (side inheritance
 // keeps the cut exact), then runs boundary-localized FM seeded with the
 // revived pairs. Each doubling of the alive count closes a checkpoint
@@ -90,7 +90,7 @@ func (r *hierarchy) uncoarsen(ctx context.Context) error {
 	caseA := make([]int32, 0, 64)
 	checkpoint := c.AliveCount() * 2
 	for c.Depth() > 0 {
-		for i := 0; i < cfg.UncontractBatch && c.Depth() > 0; i++ {
+		for i := 0; i < uncontractBatch && c.Depth() > 0; i++ {
 			var m hypergraph.Memento
 			m, caseA = c.Uncontract(caseA[:0])
 			l.Uncontracted(int(m.U), int(m.V), caseA)
@@ -123,6 +123,6 @@ func (r *hierarchy) uncoarsen(ctx context.Context) error {
 // the hierarchy's side assignment.
 func (r *hierarchy) localized() *moves.Localized {
 	l := moves.NewLocalized(r.c, r.cfg.Balance, r.c.MaxBaseNodeWeight(), r.sides, r.c.Alive, r.pool)
-	l.MaxActive = 8 * r.cfg.UncontractBatch
+	l.MaxActive = 8 * uncontractBatch
 	return l
 }

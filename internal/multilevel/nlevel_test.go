@@ -160,26 +160,6 @@ func TestNLevelUnknownMode(t *testing.T) {
 	}
 }
 
-// TestNLevelBatchKnob: tiny batches refine after every pop and still
-// converge; a one-batch unwind also works.
-func TestNLevelBatchKnob(t *testing.T) {
-	h := gen.MustGenerate(gen.Params{Nodes: 300, Nets: 330, Pins: 1100, Seed: 3})
-	bal := partition.B4555()
-	for _, batch := range []int{1, 1 << 20} {
-		res, err := Partition(h, Config{Balance: bal, Mode: ModeNLevel, UncontractBatch: batch, Seed: 5})
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		b, err := partition.NewBisection(h, res.Sides)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bal.FeasibleWithSlack(b.SideWeight(0), h.TotalNodeWeight(), b.MaxNodeWeight()) {
-			t.Errorf("batch %d unbalanced: %d of %d", batch, b.SideWeight(0), h.TotalNodeWeight())
-		}
-	}
-}
-
 // TestNLevelArenaPoolReuse: across repeated n-level runs on the same pool
 // path, the per-run allocation count must stay flat (pool hits, not fresh
 // arenas). Guarded loosely — the assertion is about reuse, not an exact

@@ -153,46 +153,13 @@ func TestNewBisectionRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestSweepCutRatioObjective: on a path, the ratio-cut sweep picks the
-// middle (maximizing w0·w1 for the same cut of 1).
-func TestSweepCutRatioObjective(t *testing.T) {
-	b := hypergraph.NewBuilder()
-	b.EnsureNodes(12)
-	for i := 0; i+1 < 12; i++ {
-		if err := b.AddNet("", 1, i, i+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h := b.MustBuild()
-	order := make([]int, 12)
-	for i := range order {
-		order[i] = i
-	}
-	sides, cut, err := partition.SweepCut(h, order, partition.Exact5050(), partition.RatioCut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut != 1 {
-		t.Fatalf("cut = %g, want 1", cut)
-	}
-	var w0 int
-	for _, s := range sides {
-		if s == 0 {
-			w0++
-		}
-	}
-	if w0 != 6 {
-		t.Errorf("ratio-cut split %d/12, want 6/12", w0)
-	}
-}
-
 // TestSweepCutErrors: wrong order length and infeasible orders error out.
 func TestSweepCutErrors(t *testing.T) {
 	h := tinyH(t)
-	if _, _, err := partition.SweepCut(h, []int{0, 1}, partition.Exact5050(), partition.MinCut); err == nil {
+	if _, _, err := partition.SweepCut(h, []int{0, 1}, partition.Exact5050()); err == nil {
 		t.Error("accepted short order")
 	}
-	if _, _, err := partition.SweepCut(h, []int{0, 1, 2, 3, 4, 5}, partition.Balance{R1: 0.3, R2: 0.6}, partition.MinCut); err == nil {
+	if _, _, err := partition.SweepCut(h, []int{0, 1, 2, 3, 4, 5}, partition.Balance{R1: 0.3, R2: 0.6}); err == nil {
 		t.Error("accepted invalid balance")
 	}
 }

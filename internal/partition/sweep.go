@@ -6,22 +6,12 @@ import (
 	"prop/internal/hypergraph"
 )
 
-// SweepObjective selects what a sweep cut minimizes.
-type SweepObjective int
-
-const (
-	// MinCut minimizes the plain hyperedge cut cost.
-	MinCut SweepObjective = iota
-	// RatioCut minimizes cut/(w₀·w₁), the Hagen–Kahng ratio-cut metric.
-	RatioCut
-)
-
 // SweepCut evaluates every prefix of the given node ordering as side 0 and
-// returns the best split whose side weights satisfy bal (under the
+// returns the minimum-cut split whose side weights satisfy bal (under the
 // one-cell slack every partitioner here uses). This is the standard final
 // stage of spectral and placement-based partitioners: sort nodes along an
 // embedding, cut at the best point.
-func SweepCut(h *hypergraph.Hypergraph, order []int, bal Balance, obj SweepObjective) ([]uint8, float64, error) {
+func SweepCut(h *hypergraph.Hypergraph, order []int, bal Balance) ([]uint8, float64, error) {
 	if len(order) != h.NumNodes() {
 		return nil, 0, fmt.Errorf("partition: sweep order has %d entries for %d nodes", len(order), h.NumNodes())
 	}
@@ -43,16 +33,9 @@ func SweepCut(h *hypergraph.Hypergraph, order []int, bal Balance, obj SweepObjec
 		if !bal.FeasibleWithSlack(b.SideWeight(0), total, b.MaxNodeWeight()) {
 			continue
 		}
-		score := b.CutCost()
-		if obj == RatioCut {
-			w0, w1 := float64(b.SideWeight(0)), float64(b.SideWeight(1))
-			if w0 > 0 && w1 > 0 {
-				score = b.CutCost() / (w0 * w1)
-			}
-		}
-		if !found || score < bestCut {
+		if cut := b.CutCost(); !found || cut < bestCut {
 			found = true
-			bestCut = score
+			bestCut = cut
 			bestPrefix = i
 		}
 	}
@@ -66,7 +49,7 @@ func SweepCut(h *hypergraph.Hypergraph, order []int, bal Balance, obj SweepObjec
 	for i := 0; i <= bestPrefix; i++ {
 		sides[order[i]] = 0
 	}
-	// Return the actual cut cost of the chosen split (not the ratio score).
+	// Recount the chosen split: the incremental cut can carry float drift.
 	bb, err := NewBisection(h, sides)
 	if err != nil {
 		return nil, 0, err

@@ -18,17 +18,18 @@ import (
 	"prop/internal/spectral"
 )
 
+const (
+	// refinements is the number of anchor-and-resolve iterations after the
+	// initial two-point placement.
+	refinements = 3
+	// cgTol is the relative residual target of the linear solver, which
+	// runs at most 4·√n + 200 iterations per solve.
+	cgTol = 1e-7
+)
+
 // Config controls the partitioner.
 type Config struct {
 	Balance partition.Balance
-	// Refinements is the number of anchor-and-resolve iterations after the
-	// initial two-point placement (0 selects 3).
-	Refinements int
-	// CGTol is the relative residual target of the linear solver (0
-	// selects 1e-7).
-	CGTol float64
-	// CGMaxIter caps CG iterations (0 selects 4·√n + 200).
-	CGMaxIter int
 }
 
 // Result reports the outcome.
@@ -46,9 +47,6 @@ type Result struct {
 func Paraboli(h *hypergraph.Hypergraph, cfg Config) (Result, error) {
 	if err := cfg.Balance.Validate(); err != nil {
 		return Result{}, err
-	}
-	if cfg.Refinements == 0 {
-		cfg.Refinements = 3
 	}
 	n := h.NumNodes()
 	g := hypergraph.CliqueExpand(h)
@@ -70,7 +68,7 @@ func Paraboli(h *hypergraph.Hypergraph, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("placement: need at least two nodes, have %d", n)
 	}
 
-	solver := newCG(l, cfg)
+	solver := newCG(l, cgTol, 4*int(math.Sqrt(float64(n)))+200)
 	anchor := make([]float64, n)
 	weight := make([]float64, n)
 	for i := range anchor {
@@ -96,7 +94,7 @@ func Paraboli(h *hypergraph.Hypergraph, cfg Config) (Result, error) {
 	// Anchor refinement: pull each side toward its end with a mild weight
 	// and re-solve; keep the best sweep split seen.
 	mild := 0.05 * avgDegree(l)
-	for it := 0; it < cfg.Refinements; it++ {
+	for it := 0; it < refinements; it++ {
 		for u := 0; u < n; u++ {
 			weight[u] = mild
 			anchor[u] = float64(best[u])
@@ -134,7 +132,7 @@ func sweepPlacement(h *hypergraph.Hypergraph, x []float64, bal partition.Balance
 		order[i] = i
 	}
 	sort.SliceStable(order, func(i, j int) bool { return x[order[i]] < x[order[j]] })
-	return partition.SweepCut(h, order, bal, partition.MinCut)
+	return partition.SweepCut(h, order, bal)
 }
 
 // farthestFrom returns the BFS-farthest node from src (unweighted hops).
@@ -196,16 +194,10 @@ type cg struct {
 	r, p, ap   []float64
 }
 
-func newCG(l *spectral.Laplacian, cfg Config) *cg {
+// newCG returns a solver that stops at relative residual tol or after
+// maxIter iterations per solve.
+func newCG(l *spectral.Laplacian, tol float64, maxIter int) *cg {
 	n := l.N()
-	tol := cfg.CGTol
-	if tol == 0 {
-		tol = 1e-7
-	}
-	maxIter := cfg.CGMaxIter
-	if maxIter == 0 {
-		maxIter = 4*int(math.Sqrt(float64(n))) + 200
-	}
 	return &cg{
 		l:       l,
 		tol:     tol,

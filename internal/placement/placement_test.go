@@ -29,7 +29,7 @@ func TestCGPathInterpolation(t *testing.T) {
 	const n = 50
 	h := pathH(t, n)
 	l := spectral.NewLaplacian(hypergraph.CliqueExpand(h))
-	solver := newCG(l, Config{CGTol: 1e-12, CGMaxIter: 5000})
+	solver := newCG(l, 1e-12, 5000)
 	w := make([]float64, n)
 	tgt := make([]float64, n)
 	strong := 1e6

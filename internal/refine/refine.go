@@ -29,15 +29,10 @@ type Options struct {
 	Balance   partition.Balance
 	// LADepth is the lookahead depth for "la" (0 selects 2).
 	LADepth int
-	// MaxPasses bounds improvement passes; 0 = run to convergence.
-	MaxPasses int
 	// PROP, when non-nil, is the exact core configuration used for "prop"
-	// (the caller then owns its Balance, Tracer and MaxPasses); nil
-	// selects core.DefaultConfig(Balance) tagged with the fields below.
+	// (the caller then owns its Balance and Tracer); nil selects
+	// core.DefaultConfig(Balance) tagged with the fields below.
 	PROP *core.Config
-	// Flow, when non-nil, tunes the "flow" corridor max-flow polisher; nil
-	// selects flow's defaults.
-	Flow *flow.Params
 
 	// Tracer, when non-nil, receives per-pass trace events from whichever
 	// engine runs. Observation-only.
@@ -68,15 +63,11 @@ func Algorithms() []string {
 // algorithm, so every engine invocation — top-level, multilevel refine,
 // warm polish, flow partner — lands in the per-phase wall-time tree.
 func Bipartition(h *hypergraph.Hypergraph, initial []uint8, o Options) (Result, error) {
-	tr, run := o.Tracer, o.TraceRun
-	if tr == nil && o.PROP != nil {
-		tr, run = o.PROP.Tracer, o.PROP.TraceRun
-	}
 	name := o.Algorithm
 	if name == "" {
 		name = "refine"
 	}
-	sp := tr.StartPhase(run, name)
+	sp := o.Tracer.StartPhase(o.TraceRun, name)
 	r, err := bipartition(h, initial, o)
 	sp.End()
 	return r, err
@@ -86,8 +77,7 @@ func bipartition(h *hypergraph.Hypergraph, initial []uint8, o Options) (Result, 
 	switch o.Algorithm {
 	case "kl":
 		r, err := kl.Partition(h, initial, kl.Config{
-			Balance: o.Balance, MaxPasses: o.MaxPasses,
-			Tracer: o.Tracer, TraceRun: o.TraceRun,
+			Balance: o.Balance, Tracer: o.Tracer, TraceRun: o.TraceRun,
 		})
 		if err != nil {
 			return Result{}, err
@@ -95,23 +85,15 @@ func bipartition(h *hypergraph.Hypergraph, initial []uint8, o Options) (Result, 
 		return Result{Sides: r.Sides, CutCost: r.CutCost, CutNets: r.CutNets,
 			Passes: r.Passes, Moves: r.Swaps}, nil
 	case "sk":
-		r, err := sk.Partition(h, initial, sk.Config{
-			MaxPasses: o.MaxPasses,
-			Tracer:    o.Tracer, TraceRun: o.TraceRun,
-		})
+		r, err := sk.Partition(h, initial, sk.Config{Tracer: o.Tracer, TraceRun: o.TraceRun})
 		if err != nil {
 			return Result{}, err
 		}
 		return Result{Sides: r.Sides, CutCost: r.CutCost, CutNets: r.CutNets,
 			Passes: r.Passes, Moves: r.Swaps}, nil
 	case "flow":
-		var fp flow.Params
-		if o.Flow != nil {
-			fp = *o.Flow
-		}
 		r, err := flow.Refine(h, initial, flow.Config{
-			Balance: o.Balance, Params: fp,
-			Tracer: o.Tracer, TraceRun: o.TraceRun,
+			Balance: o.Balance, Tracer: o.Tracer, TraceRun: o.TraceRun,
 		})
 		if err != nil {
 			return Result{}, err
@@ -130,7 +112,7 @@ func bipartition(h *hypergraph.Hypergraph, initial []uint8, o Options) (Result, 
 			sel = fm.Tree
 		}
 		r, err := fm.Partition(b, fm.Config{
-			Balance: o.Balance, Selector: sel, MaxPasses: o.MaxPasses,
+			Balance: o.Balance, Selector: sel,
 			Tracer: o.Tracer, TraceRun: o.TraceRun,
 		})
 		if err != nil {
@@ -144,7 +126,7 @@ func bipartition(h *hypergraph.Hypergraph, initial []uint8, o Options) (Result, 
 			k = 2
 		}
 		r, err := la.Partition(b, la.Config{
-			K: k, Balance: o.Balance, MaxPasses: o.MaxPasses,
+			K: k, Balance: o.Balance,
 			Tracer: o.Tracer, TraceRun: o.TraceRun,
 		})
 		if err != nil {
@@ -158,7 +140,6 @@ func bipartition(h *hypergraph.Hypergraph, initial []uint8, o Options) (Result, 
 			cfg = *o.PROP
 		} else {
 			cfg = core.DefaultConfig(o.Balance)
-			cfg.MaxPasses = o.MaxPasses
 			cfg.Tracer = o.Tracer
 			cfg.TraceRun = o.TraceRun
 		}

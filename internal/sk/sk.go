@@ -24,14 +24,12 @@ import (
 	"prop/internal/partition"
 )
 
+// candidates bounds the per-side candidate list scanned for the best
+// pair.
+const candidates = 32
+
 // Config controls an SK run.
 type Config struct {
-	// Candidates bounds the per-side candidate list scanned for the best
-	// pair (0 selects 32).
-	Candidates int
-	// MaxPasses bounds improvement passes; 0 = run until no improvement.
-	MaxPasses int
-
 	// Tracer, when non-nil, receives one event per pass. Observation-only.
 	Tracer *obs.Tracer
 	// TraceRun labels emitted events with this multi-start run index.
@@ -52,17 +50,14 @@ func Partition(h *hypergraph.Hypergraph, initial []uint8, cfg Config) (Result, e
 	if len(initial) != h.NumNodes() {
 		return Result{}, fmt.Errorf("sk: initial sides has %d entries for %d nodes", len(initial), h.NumNodes())
 	}
-	if cfg.Candidates == 0 {
-		cfg.Candidates = 32
-	}
 	b, err := partition.NewBisection(h, initial)
 	if err != nil {
 		return Result{}, err
 	}
-	e := &engine{b: b, cfg: cfg, locked: make([]bool, h.NumNodes()),
+	e := &engine{b: b, locked: make([]bool, h.NumNodes()),
 		gain: make([]float64, h.NumNodes()), scratch: make([]bool, h.NumNodes())}
 	loop := &moves.PairLoop{Pol: e, Tracer: cfg.Tracer, TraceRun: cfg.TraceRun}
-	out := moves.Run(loop, cfg.MaxPasses, cfg.Tracer, cfg.TraceRun, nil)
+	out := moves.Run(loop, 0, cfg.Tracer, cfg.TraceRun, nil)
 	return Result{
 		Sides:   b.Sides(),
 		CutCost: b.CutCost(),
@@ -75,7 +70,6 @@ func Partition(h *hypergraph.Hypergraph, initial []uint8, cfg Config) (Result, e
 // engine is SK's PairPolicy.
 type engine struct {
 	b       *partition.Bisection
-	cfg     Config
 	locked  []bool
 	gain    []float64
 	scratch []bool
@@ -164,7 +158,7 @@ func containsSorted(s []int32, x int32) bool {
 	return lo < len(s) && s[lo] == x
 }
 
-// BestPair implements moves.PairPolicy: scan the top-Candidates unlocked
+// BestPair implements moves.PairPolicy: scan the top-candidates unlocked
 // nodes per side by individual gain and maximize the corrected pair gain.
 func (e *engine) BestPair() (int, int, bool) {
 	var s0, s1 []int
@@ -188,8 +182,8 @@ func (e *engine) BestPair() (int, int, bool) {
 			}
 			return s[i] < s[j]
 		})
-		if len(s) > e.cfg.Candidates {
-			s = s[:e.cfg.Candidates]
+		if len(s) > candidates {
+			s = s[:candidates]
 		}
 		return s
 	}

@@ -23,7 +23,7 @@ func TestPairGainMatchesRealizedDelta(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		e := &engine{b: b, cfg: Config{Candidates: 8},
+		e := &engine{b: b,
 			locked: make([]bool, h.NumNodes()), gain: make([]float64, h.NumNodes()),
 			scratch: make([]bool, h.NumNodes())}
 		for u := 0; u < h.NumNodes(); u++ {
@@ -64,7 +64,7 @@ func TestSharedNetCorrection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &engine{b: bis, cfg: Config{Candidates: 4},
+	e := &engine{b: bis,
 		locked: make([]bool, 4), gain: make([]float64, 4), scratch: make([]bool, 4)}
 	for u := 0; u < 4; u++ {
 		e.gain[u] = bis.Gain(u)

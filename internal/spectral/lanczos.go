@@ -20,20 +20,15 @@ type Eigenpairs struct {
 // with Lanczos iteration: full reorthogonalization, deflation of the
 // all-ones null vector, and adaptive basis growth — after every chunk of
 // steps the tridiagonal Ritz problem is solved and the classic residual
-// bound |β_m·s_mj| decides convergence of the wanted pairs. maxSteps caps
-// the Krylov dimension (0 selects min(n−1, max(300, 8k))). The computation
-// is deterministic in seed.
-func SmallestEigenpairs(l *Laplacian, k, maxSteps int, seed int64) (*Eigenpairs, error) {
+// bound |β_m·s_mj| decides convergence of the wanted pairs. The Krylov
+// dimension is capped at min(n−1, max(300, 8k)). The computation is
+// deterministic in seed.
+func SmallestEigenpairs(l *Laplacian, k int, seed int64) (*Eigenpairs, error) {
 	n := l.N()
 	if k < 1 || k > n-1 {
 		return nil, fmt.Errorf("spectral: k=%d out of range [1, %d]", k, n-1)
 	}
-	if maxSteps == 0 {
-		maxSteps = 300
-		if 8*k > maxSteps {
-			maxSteps = 8 * k
-		}
-	}
+	maxSteps := max(300, 8*k)
 	if maxSteps > n-1 {
 		maxSteps = n - 1
 	}

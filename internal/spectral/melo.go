@@ -7,14 +7,14 @@ import (
 	"prop/internal/partition"
 )
 
+// eigenvectors is the number of non-trivial eigenvectors d used for the
+// spectral embedding (Alpert–Yao: "the more the better").
+const eigenvectors = 5
+
 // MELOConfig controls the multiple-eigenvector linear-ordering partitioner.
 type MELOConfig struct {
 	Balance partition.Balance
-	// Eigenvectors is the number of non-trivial eigenvectors d used for the
-	// spectral embedding (0 selects 5; Alpert–Yao: "the more the better").
-	Eigenvectors int
-	LanczosSteps int
-	Seed         int64
+	Seed    int64
 }
 
 // MELOResult reports the outcome.
@@ -33,10 +33,7 @@ type MELOResult struct {
 // greedy nearest-neighbor chain through the embedding, and sweep that
 // ordering for the best feasible split.
 func MELO(h *hypergraph.Hypergraph, cfg MELOConfig) (MELOResult, error) {
-	d := cfg.Eigenvectors
-	if d == 0 {
-		d = 5
-	}
+	d := eigenvectors
 	n := h.NumNodes()
 	if d > n-2 {
 		d = n - 2
@@ -45,7 +42,7 @@ func MELO(h *hypergraph.Hypergraph, cfg MELOConfig) (MELOResult, error) {
 		d = 1
 	}
 	l := NewLaplacian(hypergraph.CliqueExpand(h))
-	eig, err := SmallestEigenpairs(l, d, cfg.LanczosSteps, cfg.Seed)
+	eig, err := SmallestEigenpairs(l, d, cfg.Seed)
 	if err != nil {
 		return MELOResult{}, err
 	}
@@ -65,7 +62,7 @@ func MELO(h *hypergraph.Hypergraph, cfg MELOConfig) (MELOResult, error) {
 		}
 	}
 	order := chainOrder(coords)
-	sides, cut, err := partition.SweepCut(h, order, cfg.Balance, partition.MinCut)
+	sides, cut, err := partition.SweepCut(h, order, cfg.Balance)
 	if err != nil {
 		return MELOResult{}, err
 	}

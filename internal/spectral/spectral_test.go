@@ -35,7 +35,7 @@ func TestLanczosPathEigenvalues(t *testing.T) {
 	if err := l.CheckSymmetry(); err != nil {
 		t.Fatal(err)
 	}
-	eig, err := SmallestEigenpairs(l, 3, 0, 1)
+	eig, err := SmallestEigenpairs(l, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestLanczosPathEigenvalues(t *testing.T) {
 func TestLanczosResiduals(t *testing.T) {
 	h := gen.MustGenerate(gen.Params{Nodes: 300, Nets: 330, Pins: 1100, Seed: 17})
 	l := NewLaplacian(hypergraph.CliqueExpand(h))
-	eig, err := SmallestEigenpairs(l, 4, 0, 2)
+	eig, err := SmallestEigenpairs(l, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSweepCutOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	order := rng.Perm(24)
 	bal := partition.B4555()
-	_, got, err := partition.SweepCut(h, order, bal, partition.MinCut)
+	_, got, err := partition.SweepCut(h, order, bal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,17 +35,19 @@ type Result struct {
 // until neither lowers the cut, keeping the best state seen: each round
 // runs partner from the best sides, then PROP from the partner's result.
 // cut/cutNets describe sides, so callers that already ran an engine don't
-// pay a recount. cfg is the PROP configuration, with Init forced to
-// InitDeterministic. The partner is any engine of refine.Algorithms;
+// pay a recount. PROP runs the paper's parameters with deterministic
+// init, under the partner's balance and tracer. The partner is any engine of refine.Algorithms;
 // Repartition selects the algorithm the caller partitioned with, so polish
 // escapes local minima in the same move system that produced them.
-func PolishWith(h *hypergraph.Hypergraph, sides []uint8, cut float64, cutNets int, cfg core.Config, partner refine.Options) (Result, error) {
+func PolishWith(h *hypergraph.Hypergraph, sides []uint8, cut float64, cutNets int, partner refine.Options) (Result, error) {
 	best := Result{Sides: sides, CutCost: cut, CutNets: cutNets}
-	propCfg := cfg
+	propCfg := core.DefaultConfig(partner.Balance)
 	propCfg.Init = core.InitDeterministic
-	propOpt := refine.Options{Algorithm: "prop", Balance: cfg.Balance, PROP: &propCfg}
+	propCfg.Tracer, propCfg.TraceRun = partner.Tracer, partner.TraceRun
+	propOpt := refine.Options{Algorithm: "prop", Balance: partner.Balance, PROP: &propCfg,
+		Tracer: partner.Tracer, TraceRun: partner.TraceRun}
 	for round := 0; round < maxPolishRounds; round++ {
-		sp := cfg.Tracer.StartPhaseLevel(cfg.TraceRun, "polish", round)
+		sp := partner.Tracer.StartPhaseLevel(partner.TraceRun, "polish", round)
 		pRes, err := refine.Bipartition(h, best.Sides, partner)
 		if err != nil {
 			sp.End()

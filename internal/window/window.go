@@ -19,18 +19,17 @@ import (
 	"prop/internal/partition"
 )
 
+// perturbFrac is the fraction of nodes flipped (in balanced pairs) to
+// diversify FM runs 2..Runs.
+const perturbFrac = 0.05
+
 // Config controls the WINDOW partitioner.
 type Config struct {
 	Balance partition.Balance
 	// Runs is the number of FM runs seeded from the clustered split (0
 	// selects the paper's 20).
 	Runs int
-	// PerturbFrac is the fraction of nodes flipped (in balanced pairs) to
-	// diversify FM runs 2..Runs (0 selects 0.05).
-	PerturbFrac float64
-	// Selector is the FM gain container.
-	Selector fm.Selector
-	Seed     int64
+	Seed int64
 }
 
 // Result reports the outcome.
@@ -50,15 +49,12 @@ func Partition(h *hypergraph.Hypergraph, cfg Config) (Result, error) {
 	if cfg.Runs == 0 {
 		cfg.Runs = 20
 	}
-	if cfg.PerturbFrac == 0 {
-		cfg.PerturbFrac = 0.05
-	}
 	g := hypergraph.CliqueExpand(h)
 	order, err := maxAttractionOrder(g)
 	if err != nil {
 		return Result{}, err
 	}
-	seed, orderingCut, err := partition.SweepCut(h, order, cfg.Balance, partition.MinCut)
+	seed, orderingCut, err := partition.SweepCut(h, order, cfg.Balance)
 	if err != nil {
 		return Result{}, err
 	}
@@ -70,13 +66,13 @@ func Partition(h *hypergraph.Hypergraph, cfg Config) (Result, error) {
 	for r := 0; r < cfg.Runs; r++ {
 		sides := append([]uint8(nil), seed...)
 		if r > 0 {
-			perturb(sides, cfg.PerturbFrac, rng)
+			perturb(sides, perturbFrac, rng)
 		}
 		b, err := partition.NewBisection(h, sides)
 		if err != nil {
 			return Result{}, err
 		}
-		res, err := fm.Partition(b, fm.Config{Balance: cfg.Balance, Selector: cfg.Selector})
+		res, err := fm.Partition(b, fm.Config{Balance: cfg.Balance, Selector: fm.Bucket})
 		if err != nil {
 			return Result{}, err
 		}

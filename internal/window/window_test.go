@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"prop/internal/fm"
 	"prop/internal/gen"
 	"prop/internal/hypergraph"
 	"prop/internal/partition"
@@ -79,7 +78,7 @@ func TestPartitionTwoClusters(t *testing.T) {
 func TestPartitionGenerated(t *testing.T) {
 	h := gen.MustGenerate(gen.Params{Nodes: 500, Nets: 550, Pins: 1900, Seed: 44})
 	bal := partition.Exact5050()
-	res, err := Partition(h, Config{Balance: bal, Runs: 5, Selector: fm.Bucket, Seed: 7})
+	res, err := Partition(h, Config{Balance: bal, Runs: 5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,7 @@ import (
 	"time"
 
 	"prop/internal/anneal"
-	"prop/internal/cluster"
-	"prop/internal/core"
 	"prop/internal/engine"
-	"prop/internal/flow"
 	"prop/internal/hypergraph"
 	"prop/internal/kwaydirect"
 	"prop/internal/multilevel"
@@ -117,18 +114,13 @@ type Options struct {
 	// are rejected; no netlist allows more than 33.
 	LADepth int
 
-	// ClusteredStart seeds run 0 of an iterative algorithm from a
-	// heavy-edge-matching clustered partition instead of a random one —
-	// the paper's §5 "clustering initial phase".
-	ClusteredStart bool
-
 	// Initial, when non-nil, warm-starts run 0 of an iterative algorithm
-	// from this side assignment instead of a random or clustered one —
-	// the incremental-repartitioning path (see Repartition). Entries may
-	// be 0, 1, or SideUnassigned; unassigned nodes are placed greedily by
-	// connectivity under the balance criterion before the run. Takes
-	// precedence over ClusteredStart; runs 1..Runs−1 remain random, so a
-	// multi-start portfolio still explores beyond the warm start.
+	// from this side assignment instead of a random one — the
+	// incremental-repartitioning path (see Repartition). Entries may be 0,
+	// 1, or SideUnassigned; unassigned nodes are placed greedily by
+	// connectivity under the balance criterion before the run. Runs
+	// 1..Runs−1 remain random, so a multi-start portfolio still explores
+	// beyond the warm start.
 	Initial []uint8
 
 	// Parallel bounds the worker goroutines executing multi-start runs and
@@ -152,14 +144,7 @@ type Options struct {
 	// propserve request/job ID). Optional.
 	TraceID string
 
-	// PROP overrides the paper's default PROP parameters when non-nil.
-	PROP *PROPParams
-
-	// Flow overrides the defaults of AlgoFlow's max-flow polish stage when
-	// non-nil.
-	Flow *FlowParams
-
-	// ML overrides the defaults of AlgoMLPROP's hierarchy when non-nil.
+	// ML selects AlgoMLPROP's hierarchy mode when non-nil.
 	ML *MLParams
 }
 
@@ -175,18 +160,8 @@ type RunUpdate struct {
 	Passes int
 }
 
-// PROPParams exposes PROP's tunables (see the paper §3.2–3.4; zero values
-// select the paper's experimental settings).
-type PROPParams struct {
-	PInit, PMin, PMax float64
-	GLo, GUp          float64
-	Refinements       int
-	TopK              int
-	DeterministicInit bool
-}
-
-// MLParams exposes the knobs of AlgoMLPROP's multilevel hierarchy (zero
-// values select its defaults).
+// MLParams selects AlgoMLPROP's multilevel hierarchy (the zero value
+// selects the V-cycle).
 type MLParams struct {
 	// Mode selects the hierarchy style. Both contract node pairs in place
 	// on one memento stack. "vcycle" (the default) makes each matching
@@ -195,22 +170,6 @@ type MLParams struct {
 	// nodes, keeping peak memory O(pins) — the mode for million-node
 	// netlists.
 	Mode string
-	// UncontractBatch (nlevel only) is how many uncontractions are popped
-	// between localized refinement episodes (0 → 64).
-	UncontractBatch int
-}
-
-// FlowParams exposes the knobs of AlgoFlow's corridor max-flow polish
-// stage (internal/flow; zero values select its defaults).
-type FlowParams struct {
-	// Radius is the corridor BFS depth around the cut boundary (0 → 3).
-	Radius int
-	// MaxFrac caps each side's corridor weight at this fraction of the
-	// total node weight (0 → 0.125).
-	MaxFrac float64
-	// Rounds bounds the extract→flow→adopt rounds per polish call (0 → 8);
-	// polishing also stops at the first non-improving round.
-	Rounds int
 }
 
 // Result is a 2-way partition.
@@ -293,9 +252,8 @@ func PartitionCtx(ctx context.Context, n *Netlist, o Options) (Result, error) {
 		cfg := multilevel.Config{
 			Balance: bal, Seed: o.Seed, Tracer: o.Tracer, TraceRun: 0,
 		}
-		if p := o.ML; p != nil {
-			cfg.Mode = p.Mode
-			cfg.UncontractBatch = p.UncontractBatch
+		if o.ML != nil {
+			cfg.Mode = o.ML.Mode
 		}
 		o.Tracer.EmitRunStart(obs.RunStart{ID: o.TraceID, Run: 0})
 		mlStart := time.Now()
@@ -358,12 +316,6 @@ func multiStart(ctx context.Context, h *hypergraph.Hypergraph, bal partition.Bal
 					return runResult{}, err
 				}
 				initial = s
-			} else if o.ClusteredStart && r == 0 {
-				s, err := cluster.ClusteredSides(h, bal, h.NumNodes()/16+2, seed)
-				if err != nil {
-					return runResult{}, err
-				}
-				initial = s
 			} else {
 				initial = partition.RandomSides(h, bal, rand.New(rand.NewSource(seed)))
 			}
@@ -393,18 +345,14 @@ func oneRun(h *hypergraph.Hypergraph, bal partition.Balance, o Options, initial 
 		// AlgoFlow is the PROP→flow composite: a full PROP run followed by
 		// the warm-polish rotation with the corridor max-flow stage as
 		// partner, so each run's cut is never worse than plain PROP's.
-		cfg := propConfig(bal, o, run)
 		base, err := refine.Bipartition(h, initial, refine.Options{
-			Algorithm: "prop", Balance: bal, PROP: &cfg,
+			Algorithm: "prop", Balance: bal, Tracer: o.Tracer, TraceRun: run,
 		})
 		if err != nil {
 			return runResult{}, err
 		}
-		p, err := warm.PolishWith(h, base.Sides, base.CutCost, base.CutNets, cfg,
-			refine.Options{
-				Algorithm: "flow", Balance: bal, Flow: flowParams(o),
-				Tracer: o.Tracer, TraceRun: run,
-			})
+		p, err := warm.PolishWith(h, base.Sides, base.CutCost, base.CutNets,
+			refine.Options{Algorithm: "flow", Balance: bal, Tracer: o.Tracer, TraceRun: run})
 		if err != nil {
 			return runResult{}, err
 		}
@@ -413,66 +361,17 @@ func oneRun(h *hypergraph.Hypergraph, bal partition.Balance, o Options, initial 
 	// Every other iterative algorithm is a locked-move engine dispatched
 	// through the shared move-engine layer, so each inherits balance-aware
 	// selection and per-pass tracing uniformly.
-	ro := refine.Options{
+	r, err := refine.Bipartition(h, initial, refine.Options{
 		Algorithm: string(o.Algorithm),
 		Balance:   bal,
 		LADepth:   o.LADepth,
 		Tracer:    o.Tracer,
 		TraceRun:  run,
-	}
-	if o.Algorithm == AlgoPROP {
-		cfg := propConfig(bal, o, run)
-		ro.PROP = &cfg
-	}
-	r, err := refine.Bipartition(h, initial, ro)
+	})
 	if err != nil {
 		return runResult{}, err
 	}
 	return runResult{sides: r.Sides, cost: r.CutCost, nets: r.CutNets, passes: r.Passes}, nil
-}
-
-// flowParams converts the public FlowParams to internal/flow's Params.
-func flowParams(o Options) *flow.Params {
-	if o.Flow == nil {
-		return nil
-	}
-	return &flow.Params{Radius: o.Flow.Radius, MaxFrac: o.Flow.MaxFrac, Rounds: o.Flow.Rounds}
-}
-
-// propConfig materializes the core PROP configuration Options selects:
-// the paper defaults overlaid with any PROPParams overrides, tagged with
-// the caller's tracer and run index.
-func propConfig(bal partition.Balance, o Options, run int) core.Config {
-	cfg := core.DefaultConfig(bal)
-	if p := o.PROP; p != nil {
-		if p.PInit != 0 {
-			cfg.PInit = p.PInit
-		}
-		if p.PMin != 0 {
-			cfg.PMin = p.PMin
-		}
-		if p.PMax != 0 {
-			cfg.PMax = p.PMax
-		}
-		if p.GLo != 0 {
-			cfg.GLo = p.GLo
-		}
-		if p.GUp != 0 {
-			cfg.GUp = p.GUp
-		}
-		if p.Refinements != 0 {
-			cfg.Refinements = p.Refinements
-		}
-		if p.TopK != 0 {
-			cfg.TopK = p.TopK
-		}
-		if p.DeterministicInit {
-			cfg.Init = core.InitDeterministic
-		}
-	}
-	cfg.Tracer = o.Tracer
-	cfg.TraceRun = run
-	return cfg
 }
 
 // KWayResult is a recursive k-way partition.
@@ -511,24 +410,11 @@ func KWayCtx(ctx context.Context, n *Netlist, k int, o Options) (KWayResult, err
 		// Warm starts are sized for the full netlist; recursive
 		// subproblems renumber nodes, so they always start cold.
 		oo.Initial = nil
-		runs := oo.Runs
-		if runs < 1 {
-			runs = 1
+		res, err := PartitionCtx(ctx, &Netlist{h}, oo)
+		if err != nil {
+			return nil, err
 		}
-		switch oo.Algorithm {
-		case AlgoEIG1, AlgoMELO, AlgoParaboli, AlgoWindow:
-			res, err := PartitionCtx(ctx, &Netlist{h}, oo)
-			if err != nil {
-				return nil, err
-			}
-			return res.Sides, nil
-		default:
-			res, err := multiStart(ctx, h, b, oo, runs)
-			if err != nil {
-				return nil, err
-			}
-			return res.Sides, nil
-		}
+		return res.Sides, nil
 	}
 	r, err := multiway.PartitionCtx(ctx, n.h, multiway.Config{
 		K: k, Balance: bal, Cut: cutter, Seed: o.Seed, Workers: o.Parallel,

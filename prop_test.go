@@ -98,17 +98,17 @@ func TestKWay(t *testing.T) {
 	if _, err := prop.KWay(n, 6, prop.Options{}); err == nil {
 		t.Error("accepted k=6")
 	}
-}
-
-// TestClusteredStart: §5 clustering pre-phase path works end to end.
-func TestClusteredStart(t *testing.T) {
-	n := testNetlist(t)
-	res, err := prop.Partition(n, prop.Options{Algorithm: prop.AlgoPROP, Runs: 2, ClusteredStart: true, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := prop.Verify(n, res.Sides, prop.Options{}); err != nil {
-		t.Error(err)
+	// Every bisection algorithm recurses, including ml-prop and the empty
+	// algorithm, which selects PROP.
+	for _, algo := range []prop.Algorithm{prop.AlgoMLPROP, ""} {
+		res, err := prop.KWay(n, 4, prop.Options{Algorithm: algo})
+		if err != nil {
+			t.Errorf("algo %q: %v", algo, err)
+			continue
+		}
+		if len(res.PartWeights) != 4 {
+			t.Errorf("algo %q: %d parts, want 4", algo, len(res.PartWeights))
+		}
 	}
 }
 
@@ -238,27 +238,6 @@ func TestExtensionAlgorithms(t *testing.T) {
 	if sa1.CutCost != sa2.CutCost {
 		t.Errorf("SA nondeterministic: %g vs %g", sa1.CutCost, sa2.CutCost)
 	}
-}
-
-// TestPROPParamOverrides: facade PROP overrides reach the engine (a
-// degenerate override must change behaviour deterministically).
-func TestPROPParamOverrides(t *testing.T) {
-	n := testNetlist(t)
-	base, err := prop.Partition(n, prop.Options{Algorithm: prop.AlgoPROP, Runs: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alt, err := prop.Partition(n, prop.Options{
-		Algorithm: prop.AlgoPROP, Runs: 1, Seed: 3,
-		PROP: &prop.PROPParams{PMin: 0.05, PMax: 0.99, GUp: 3, GLo: -3, Refinements: 4, TopK: 2, DeterministicInit: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := prop.Verify(n, alt.Sides, prop.Options{}); err != nil {
-		t.Error(err)
-	}
-	_ = base // both must simply run feasibly; cut relation is instance-specific
 }
 
 // TestKWayDirect: the direct engine via the facade — any k (not just

@@ -92,6 +92,19 @@ if [ -n "$wrappers" ]; then
 	exit 1
 fi
 
+echo "== knob guard =="
+# A tuning value with one value in use is a constant in its package. The
+# knobs retired for that reason must not come back: the PROP and flow
+# parameter overrides, the clustered start, the n-level batch size, the
+# engines' pass bounds, the sweep objective and propart's -ml-batch.
+knobs=$(grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=perfbench \
+	'PROPParams|FlowParams|ClusteredStart|UncontractBatch|MaxPasses|SweepObjective|ml-batch' . || true)
+if [ -n "$knobs" ]; then
+	echo "retired tuning knobs declared again (make them package constants):" >&2
+	echo "$knobs" >&2
+	exit 1
+fi
+
 echo "== go build =="
 go build ./...
 

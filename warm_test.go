@@ -90,10 +90,6 @@ func TestOptionsFingerprint(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("identical options fingerprint differently")
 	}
-	b.Seed = 8
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Error("seed change not reflected in fingerprint")
-	}
 	// Parallelism and observation hooks never change results, so they must
 	// not change the fingerprint either (cache hits across them are
 	// correct and desirable).
@@ -104,15 +100,25 @@ func TestOptionsFingerprint(t *testing.T) {
 	if a.Fingerprint() != c.Fingerprint() {
 		t.Error("parallel/observation options changed the fingerprint")
 	}
-	d := a
-	d.PROP = &prop.PROPParams{TopK: 5}
-	if a.Fingerprint() == d.Fingerprint() {
-		t.Error("PROP params not reflected in fingerprint")
-	}
-	e := a
-	e.Initial = []uint8{0, 1, 0}
-	if a.Fingerprint() == e.Fingerprint() {
-		t.Error("warm-start initial not reflected in fingerprint")
+	// Every field that determines results changes the fingerprint.
+	for _, tc := range []struct {
+		field string
+		set   func(*prop.Options)
+	}{
+		{"Algorithm", func(o *prop.Options) { o.Algorithm = prop.AlgoFM }},
+		{"R1", func(o *prop.Options) { o.R1, o.R2 = 0.45, 0.5 }},
+		{"R2", func(o *prop.Options) { o.R1, o.R2 = 0.5, 0.55 }},
+		{"Runs", func(o *prop.Options) { o.Runs = 4 }},
+		{"Seed", func(o *prop.Options) { o.Seed = 8 }},
+		{"LADepth", func(o *prop.Options) { o.LADepth = 3 }},
+		{"Initial", func(o *prop.Options) { o.Initial = []uint8{0, 1, 0} }},
+		{"ML.Mode", func(o *prop.Options) { o.ML = &prop.MLParams{Mode: "nlevel"} }},
+	} {
+		d := a
+		tc.set(&d)
+		if a.Fingerprint() == d.Fingerprint() {
+			t.Errorf("%s change not reflected in fingerprint", tc.field)
+		}
 	}
 }
 
