@@ -20,8 +20,7 @@ import (
 	"prop/internal/partition"
 )
 
-// The annealing schedule. The starting temperature is estimated from the
-// standard deviation of random move deltas.
+// The annealing schedule.
 const (
 	// cooling is the geometric factor per temperature step.
 	cooling = 0.95

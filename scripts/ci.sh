@@ -93,10 +93,8 @@ if [ -n "$wrappers" ]; then
 fi
 
 echo "== knob guard =="
-# A tuning value with one value in use is a constant in its package. The
-# knobs retired for that reason must not come back: the PROP and flow
-# parameter overrides, the clustered start, the n-level batch size, the
-# engines' pass bounds, the sweep objective and propart's -ml-batch.
+# A tuning value with one value in use is a constant in its package, so
+# the knobs retired under that rule must not be declared again.
 knobs=$(grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=perfbench \
 	'PROPParams|FlowParams|ClusteredStart|UncontractBatch|MaxPasses|SweepObjective|ml-batch' . || true)
 if [ -n "$knobs" ]; then
