@@ -11,8 +11,8 @@
 // With -format netare, -in names the .net file and -are the .are file.
 // Instead of -in, -suite <name> loads one of the paper's Table-1 suite
 // circuits (e.g. industry2). The output lists one "node side" pair per
-// line; -k > 2 performs recursive k-way partitioning and prints part
-// indices instead.
+// line; -k > 2 (any k, not only powers of two) performs recursive k-way
+// partitioning and prints part indices instead.
 //
 // -delta applies a JSON netlist delta (ECO edit script; see the prop
 // package's Delta type) to the input before partitioning. Combined with
@@ -58,7 +58,7 @@ func main() {
 		r2       = flag.Float64("r2", 0.5, "upper balance bound")
 		runs     = flag.Int("runs", 20, "multi-start runs for iterative algorithms")
 		par      = flag.Int("par", runtime.GOMAXPROCS(0), "worker goroutines for multi-start runs (1 = sequential)")
-		k        = flag.Int("k", 2, "number of parts (power of two; 2 = bisection)")
+		k        = flag.Int("k", 2, "number of parts, any k ≥ 2 (2 = bisection)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		out      = flag.String("out", "", "output assignment file (default stdout)")
 		warm     = flag.String("warm", "", "warm-start from a saved \"node side\" assignment file")

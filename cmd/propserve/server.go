@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -472,11 +471,6 @@ func (s *server) decodeQueryValues(q map[string][]string) (*partitionRequest, er
 	if req.k < 2 {
 		return nil, fmt.Errorf("bad k %d: want ≥ 2", req.k)
 	}
-	if req.opts.Algorithm == prop.AlgoFlow && req.k != 2 {
-		// The corridor max-flow stage refines bisections; fail fast before
-		// the body is read instead of deep inside the k-way recursion.
-		return nil, fmt.Errorf("algo %q supports k=2 only (got k=%d)", prop.AlgoFlow, req.k)
-	}
 	if req.opts.Runs < 1 || req.opts.Runs > 10000 {
 		return nil, fmt.Errorf("bad runs %d: want 1..10000", req.opts.Runs)
 	}
@@ -523,10 +517,6 @@ func (s *server) run(ctx context.Context, req *partitionRequest, runID string, t
 	if req.opts.TraceID == "" {
 		req.opts.TraceID = runID
 	}
-	// OnRun calls are serialized within one portfolio, but the recursive
-	// k-way path runs sibling portfolios concurrently — the best/worst
-	// tracking needs its own lock.
-	var statMu sync.Mutex
 	var bestCut, worstCut float64
 	seen, passTotal := 0, 0
 	req.opts.OnRun = func(u prop.RunUpdate) {
@@ -534,7 +524,6 @@ func (s *server) run(ctx context.Context, req *partitionRequest, runID string, t
 		if u.Passes > 0 {
 			s.mPassHist.Observe(float64(u.Passes))
 		}
-		statMu.Lock()
 		if seen == 0 || u.CutCost < bestCut {
 			bestCut = u.CutCost
 		}
@@ -543,7 +532,6 @@ func (s *server) run(ctx context.Context, req *partitionRequest, runID string, t
 		}
 		seen++
 		passTotal += u.Passes
-		statMu.Unlock()
 		s.log.Debug("run complete",
 			"run", u.Run, "cut_cost", u.CutCost, "cut_nets", u.CutNets,
 			"passes", u.Passes, "run_id", runID)
@@ -575,12 +563,10 @@ func (s *server) run(ctx context.Context, req *partitionRequest, runID string, t
 	s.mParts.Inc()
 	s.mCutHist.Observe(float64(resp.CutNets))
 	s.mLatency.Observe(time.Since(start))
-	statMu.Lock()
 	resp.Passes = passTotal
 	if seen > 1 && worstCut > 0 {
 		s.mCutImprove.Set((worstCut - bestCut) / worstCut * 100)
 	}
-	statMu.Unlock()
 	return resp, nil
 }
 

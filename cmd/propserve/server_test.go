@@ -168,6 +168,13 @@ func TestPartitionEndpointKWay(t *testing.T) {
 	if pr := decodeBody[partitionResponse](t, resp); pr.K != 4 || len(pr.PartWeights) != 4 {
 		t.Errorf("ml-prop k-way response = %+v", pr)
 	}
+	resp = postHGR(t, ts.URL+"/v1/partition?runs=2&k=3", hgr)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("k=3 status %d", resp.StatusCode)
+	}
+	if pr := decodeBody[partitionResponse](t, resp); pr.K != 3 || len(pr.Parts) != 120 || len(pr.PartWeights) != 3 {
+		t.Errorf("k=3 response = %+v", pr)
+	}
 }
 
 func TestPartitionEndpointErrors(t *testing.T) {
@@ -182,7 +189,8 @@ func TestPartitionEndpointErrors(t *testing.T) {
 		{"bad runs syntax", "/v1/partition?runs=abc", hgr, http.StatusBadRequest},
 		{"bad k", "/v1/partition?k=1", hgr, http.StatusBadRequest},
 		{"unknown algo", "/v1/partition?algo=nosuch", hgr, http.StatusBadRequest},
-		{"odd k rejected by engine", "/v1/partition?k=6", hgr, http.StatusUnprocessableEntity},
+		{"k above the node count", "/v1/partition?k=121", hgr, http.StatusUnprocessableEntity},
+		{"asymmetric balance", "/v1/partition?r1=0.3&r2=0.6", hgr, http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		resp := postHGR(t, ts.URL+c.url, c.body)
@@ -298,22 +306,16 @@ func TestPartitionEndpointFlow(t *testing.T) {
 	}
 }
 
-// TestPartitionEndpointFlowKWayRejected pins the early 400 for ?algo=flow
-// with k > 2: the query check must fire before the netlist body is even
-// parsed, so an unreadable body still yields the flow-specific error.
-func TestPartitionEndpointFlowKWayRejected(t *testing.T) {
+// TestPartitionEndpointFlowKWay: algo=flow recurses like every other
+// bisection algorithm, so ?k=4 answers 200 with four parts.
+func TestPartitionEndpointFlowKWay(t *testing.T) {
 	ts := newTestServer(t)
-	resp := postHGR(t, ts.URL+"/v1/partition?algo=flow&k=4", "not a netlist")
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	resp := postHGR(t, ts.URL+"/v1/partition?algo=flow&runs=2&k=4", testNetlistHGR(t))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), "flow") || !strings.Contains(string(body), "k=2") {
-		t.Errorf("error body %q does not name the flow k=2 restriction", body)
+	if pr := decodeBody[partitionResponse](t, resp); pr.K != 4 || len(pr.Parts) != 120 || len(pr.PartWeights) != 4 {
+		t.Errorf("flow k-way response = %+v", pr)
 	}
 }
 

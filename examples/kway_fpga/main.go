@@ -43,10 +43,6 @@ func main() {
 		{"recursive FM", func() (prop.KWayResult, error) {
 			return prop.KWay(n, fpgas, prop.Options{Algorithm: prop.AlgoFM, Runs: 5, Seed: 3})
 		}},
-		{"direct k-way FM", func() (prop.KWayResult, error) {
-			// Tighter per-part bounds so every part meets the cell budget.
-			return prop.KWayDirect(n, fpgas, prop.Options{Runs: 3, Seed: 3, R1: 0.115, R2: 0.135})
-		}},
 	}
 	for _, c := range cutters {
 		res, err := c.run()
@@ -69,11 +65,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-	fmt.Println("Recursive bisection with a strong 2-way engine (PROP) minimizes the")
-	fmt.Println("interconnect; the flat direct k-way engine (the paper's §5 future-work")
-	fmt.Println("item, implemented in internal/kwaydirect) trades quality for the freedom")
-	fmt.Println("of arbitrary k and single-level moves — consistent with why recursive")
-	fmt.Println("2-way partitioning was the dominant methodology of the era (§1).")
 }
 
 // ioPerPart counts, per part, the nets that cross its boundary — each such

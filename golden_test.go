@@ -37,6 +37,7 @@ type golden struct {
 // adjacency bug in the CSR/incremental-refinement path shows up here as a
 // changed cut, winner or side hash.
 func TestGoldenCutsAcrossMigration(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		circuit string
 		prop    golden
@@ -50,6 +51,7 @@ func TestGoldenCutsAcrossMigration(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.circuit, func(t *testing.T) {
+			t.Parallel()
 			if testing.Short() && tc.circuit == "industry2" {
 				t.Skip("short mode")
 			}
@@ -69,6 +71,7 @@ func TestGoldenCutsAcrossMigration(t *testing.T) {
 // TestGoldenCutsGenerated covers the window-model generator path with more
 // runs, exercising the best-run tie-break across a longer portfolio.
 func TestGoldenCutsGenerated(t *testing.T) {
+	t.Parallel()
 	n, err := prop.Generate(prop.GenParams{Nodes: 600, Nets: 660, Pins: 2300, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +85,7 @@ func TestGoldenCutsGenerated(t *testing.T) {
 // cannot run: every net is re-costed to 1 + (e mod 5)·0.25, so gains are
 // fractional and equal-gain ties are broken by the containers' LIFO stamps.
 func TestGoldenCutsWeightedNets(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		circuit string
 		fmTree  golden
@@ -93,6 +97,7 @@ func TestGoldenCutsWeightedNets(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.circuit, func(t *testing.T) {
+			t.Parallel()
 			n, err := prop.Benchmark(tc.circuit)
 			if err != nil {
 				t.Fatal(err)
@@ -141,6 +146,7 @@ func check(t *testing.T, n *prop.Netlist, algo prop.Algorithm, runs int, seed in
 // SK's exact pair scan is quadratic per step, so its goldens run only on
 // the small circuits.
 func TestGoldenCutsLASK(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		circuit string
 		la      golden
@@ -154,6 +160,7 @@ func TestGoldenCutsLASK(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.circuit, func(t *testing.T) {
+			t.Parallel()
 			if testing.Short() && tc.circuit == "industry2" {
 				t.Skip("short mode")
 			}
@@ -171,6 +178,7 @@ func TestGoldenCutsLASK(t *testing.T) {
 
 // TestGoldenCutsLASKGenerated mirrors TestGoldenCutsGenerated for LA/SK.
 func TestGoldenCutsLASKGenerated(t *testing.T) {
+	t.Parallel()
 	n, err := prop.Generate(prop.GenParams{Nodes: 600, Nets: 660, Pins: 2300, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +193,7 @@ func TestGoldenCutsLASKGenerated(t *testing.T) {
 // never worse, and strictly better on most circuits. check() also covers
 // Parallel=1 vs 4 bit-identity and the balance window via prop.Verify.
 func TestGoldenCutsFlow(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		circuit string
 		flow    golden
@@ -199,6 +208,7 @@ func TestGoldenCutsFlow(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.circuit, func(t *testing.T) {
+			t.Parallel()
 			if testing.Short() && tc.circuit == "industry2" {
 				t.Skip("short mode")
 			}
@@ -225,6 +235,7 @@ func TestGoldenCutsFlow(t *testing.T) {
 // beat, so the polish must return it unchanged (identical hash to the PROP
 // golden) — the "never worsens" half of the flow contract.
 func TestGoldenCutsFlowGenerated(t *testing.T) {
+	t.Parallel()
 	n, err := prop.Generate(prop.GenParams{Nodes: 600, Nets: 660, Pins: 2300, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +248,7 @@ func TestGoldenCutsFlowGenerated(t *testing.T) {
 // under a parallel portfolio — must not change the cut, the winning run,
 // or a single side bit relative to the untraced golden values.
 func TestGoldenTracingInvariant(t *testing.T) {
+	t.Parallel()
 	n, err := prop.Benchmark("struct")
 	if err != nil {
 		t.Fatal(err)
@@ -278,6 +290,7 @@ func TestGoldenTracingInvariant(t *testing.T) {
 // KL, SA and the deterministic EIG1, MELO, PARABOLI and WINDOW, which
 // ignore Runs — on balu at the runs and seed the other goldens use.
 func TestGoldenCutsBaselines(t *testing.T) {
+	t.Parallel()
 	n, err := prop.Benchmark("balu")
 	if err != nil {
 		t.Fatal(err)
@@ -306,40 +319,40 @@ type kwayGolden struct {
 	hash uint64
 }
 
-// TestGoldenCutsKWay pins recursive KWay (k = 4, PROP) and KWayDirect
-// (k = 3) on balu, at Parallel 1 and 4, and recounts each cut from the
-// netlist.
+// TestGoldenCutsKWay pins recursive KWay with PROP on balu at k = 4 and
+// k = 3, at Parallel 1 and 4, recounts each cut from the netlist and
+// checks every bisection's window.
 func TestGoldenCutsKWay(t *testing.T) {
+	t.Parallel()
 	n, err := prop.Benchmark("balu")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name string
 		k    int
-		run  func(*prop.Netlist, int, prop.Options) (prop.KWayResult, error)
 		want kwayGolden
 	}{
-		{"KWay", 4, prop.KWay, kwayGolden{67, 67, 0x27ecb781283847a3}},
-		{"KWayDirect", 3, prop.KWayDirect, kwayGolden{100, 100, 0x8f209c030305435c}},
+		{4, kwayGolden{67, 67, 0x27ecb781283847a3}},
+		{3, kwayGolden{68, 68, 0x11bf58154c9ee7ed}},
 	}
 	for _, tc := range cases {
 		for _, par := range []int{1, 4} {
-			res, err := tc.run(n, tc.k, prop.Options{Algorithm: prop.AlgoPROP, Runs: 3, Seed: 7, Parallel: par})
+			res, err := prop.KWay(n, tc.k, prop.Options{Algorithm: prop.AlgoPROP, Runs: 3, Seed: 7, Parallel: par})
 			if err != nil {
-				t.Fatalf("%s Parallel=%d: %v", tc.name, par, err)
+				t.Fatalf("k=%d Parallel=%d: %v", tc.k, par, err)
 			}
 			parts := make([]uint8, len(res.Parts))
 			for u, p := range res.Parts {
 				parts[u] = uint8(p)
 			}
 			if got := (kwayGolden{res.CutCost, res.CutNets, sideHash(parts)}); got != tc.want {
-				t.Errorf("%s Parallel=%d: got {cost:%g nets:%d hash:%#x}, want {cost:%g nets:%d hash:%#x}",
-					tc.name, par, got.cost, got.nets, got.hash, tc.want.cost, tc.want.nets, tc.want.hash)
+				t.Errorf("k=%d Parallel=%d: got {cost:%g nets:%d hash:%#x}, want {cost:%g nets:%d hash:%#x}",
+					tc.k, par, got.cost, got.nets, got.hash, tc.want.cost, tc.want.nets, tc.want.hash)
 			}
 			if len(res.PartWeights) != tc.k {
-				t.Errorf("%s: %d part weights, want %d", tc.name, len(res.PartWeights), tc.k)
+				t.Errorf("k=%d: %d part weights, want %d", tc.k, len(res.PartWeights), tc.k)
 			}
+			checkKWayWindows(t, n, res, 0.5, 0.5)
 			cut := 0
 			for e := 0; e < n.NumNets(); e++ {
 				pins := n.Net(e)
@@ -351,7 +364,7 @@ func TestGoldenCutsKWay(t *testing.T) {
 				}
 			}
 			if cut != res.CutNets {
-				t.Errorf("%s Parallel=%d: recount %d cut nets, reported %d", tc.name, par, cut, res.CutNets)
+				t.Errorf("k=%d Parallel=%d: recount %d cut nets, reported %d", tc.k, par, cut, res.CutNets)
 			}
 		}
 	}

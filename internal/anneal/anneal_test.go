@@ -98,7 +98,7 @@ func TestAnnealRejectsBadConfig(t *testing.T) {
 	if _, err := Partition(h, initial[:10], Config{Balance: bal}); err == nil {
 		t.Error("accepted short sides")
 	}
-	if _, err := Partition(h, initial, Config{Balance: partition.Balance{R1: 0.2, R2: 0.9}}); err == nil {
+	if _, err := Partition(h, initial, Config{Balance: partition.Balance{R1: 0.6, R2: 0.4}}); err == nil {
 		t.Error("accepted invalid balance")
 	}
 }

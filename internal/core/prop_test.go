@@ -150,7 +150,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *core.Config) { c.PInit = 0 },
 		func(c *core.Config) { c.Refinements = -1 },
 		func(c *core.Config) { c.TopK = -1 },
-		func(c *core.Config) { c.Balance = partition.Balance{R1: 0.2, R2: 0.9} },
+		func(c *core.Config) { c.Balance = partition.Balance{R1: 0.6, R2: 0.4} },
 	}
 	for i, mut := range mutations {
 		cfg := base

@@ -80,9 +80,9 @@ func (g *network) augment(u int32, limit int64, level, iter []int32) int64 {
 // residual successors — induces a cut of exactly the max-flow value.
 // Tarjan's algorithm emits SCCs in reverse topological order, so the
 // successor-closed unions are exactly the prefixes of its emission order:
-// the selector scores every prefix against the balance window [lo, hi] and
-// keeps the feasible one closest to perfect balance (ties to the shortest
-// prefix, which is deterministic).
+// the selector scores every prefix against side 0's balance window
+// [lo, hi] and keeps the feasible one closest to the window's midpoint
+// (ties to the shortest prefix, which is deterministic).
 func (g *network) minCutMoves(b *partition.Bisection, c corridor, lo, hi int64) ([]int32, bool) {
 	n := len(g.arcs)
 	if n < 2 {
@@ -125,7 +125,6 @@ func (g *network) minCutMoves(b *partition.Bisection, c corridor, lo, hi int64) 
 	comp, ncomp := g.freeSCC(state)
 
 	h := b.H
-	total := h.TotalNodeWeight()
 	// Weight on side 0 of the tightest candidate: exterior side-0 weight
 	// plus source-side corridor nodes. Each further prefix of the SCC
 	// emission order adds its component's corridor weight.
@@ -149,7 +148,7 @@ func (g *network) minCutMoves(b *partition.Bisection, c corridor, lo, hi int64) 
 		if cum < lo || cum > hi {
 			continue
 		}
-		dist := 2*cum - total
+		dist := 2*cum - (lo + hi)
 		if dist < 0 {
 			dist = -dist
 		}

@@ -81,9 +81,8 @@ func Refine(h *hypergraph.Hypergraph, initial []uint8, cfg Config) (Result, erro
 		return Result{}, err
 	}
 	total := h.TotalNodeWeight()
-	// Adoption window: the exact criterion Verify checks (Bounds widened by
-	// one maximum-weight cell, the FM slack partition.PartWindow also
-	// applies to its fractional k-way bounds).
+	// Adoption window: the exact criterion Verify checks (side 0's Bounds
+	// widened by one maximum-weight cell, the FM slack).
 	lo, hi := cfg.Balance.Bounds(total)
 	slack := b.MaxNodeWeight()
 	lo, hi = lo-slack, hi+slack

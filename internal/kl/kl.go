@@ -193,7 +193,7 @@ func (e *engine) exchange(a, b int) {
 	e.side[a], e.side[b] = e.side[b], e.side[a]
 }
 
-// swapFits reports whether swapping (a, b) keeps both sides within the
+// swapFits reports whether swapping (a, b) keeps side 0 within the
 // configured balance criterion (always true when no criterion is set, and
 // for equal-weight pairs, which leave side weights unchanged).
 func (e *engine) swapFits(a, b int) bool {
@@ -204,10 +204,11 @@ func (e *engine) swapFits(a, b int) bool {
 	if wa == wb {
 		return true
 	}
-	w0 := e.sideWeight[e.side[a]] + wb - wa
-	w1 := e.sideWeight[e.side[b]] + wa - wb
-	return e.cfg.Balance.FeasibleWithSlack(w0, e.total, e.maxW) &&
-		e.cfg.Balance.FeasibleWithSlack(w1, e.total, e.maxW)
+	w0 := e.sideWeight[0] + wb - wa
+	if e.side[a] == 1 {
+		w0 = e.sideWeight[0] + wa - wb
+	}
+	return e.cfg.Balance.FeasibleWithSlack(w0, e.total, e.maxW)
 }
 
 // BestPair implements moves.PairPolicy: scan the top-candidates unlocked

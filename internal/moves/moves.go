@@ -1,11 +1,10 @@
 // Package moves is the shared locked-move pass engine behind every
-// iterative-improvement partitioner in this repository (FM, LA, SK, KL,
-// PROP and the direct k-way engine). The paper's whole family shares one
-// skeleton — pick the best unlocked node (or pair) under the balance
-// criterion, move it, lock it, update neighbor gains, then keep the
-// maximum-prefix-immediate-gain subset and repeat until a pass yields no
-// positive G_max (Fig. 1 steps 5–10, Fig. 2 steps 5–10). This package
-// owns that skeleton exactly once:
+// iterative-improvement partitioner in this repository (FM, LA, SK, KL
+// and PROP). The paper's whole family shares one skeleton — pick the best
+// unlocked node (or pair) under the balance criterion, move it, lock it,
+// update neighbor gains, then keep the maximum-prefix-immediate-gain
+// subset and repeat until a pass yields no positive G_max (Fig. 1 steps
+// 5–10, Fig. 2 steps 5–10). This package owns that skeleton exactly once:
 //
 //   - Run drives pass-level convergence (G_max ≤ EpsGain or maxPasses)
 //     and emits one obs.Pass trace event per pass.
@@ -38,9 +37,7 @@ import (
 const EpsGain = 1e-12
 
 // PassRunner is one pass of a concrete algorithm, as consumed by Run.
-// Loop and PairLoop implement it; the direct k-way engine implements it
-// natively (its per-move containers are (node, target-part) candidates,
-// not per-side ones).
+// Loop, PairLoop and Localized implement it.
 type PassRunner interface {
 	// Algo names the algorithm in trace events ("fm", "la", "prop", ...).
 	Algo() string

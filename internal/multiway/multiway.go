@@ -20,10 +20,11 @@ type Bipartitioner func(ctx context.Context, h *hypergraph.Hypergraph, bal parti
 
 // Config controls the recursive driver.
 type Config struct {
-	// K is the number of parts; must be a power of two ≥ 2 (recursive
-	// halving; the paper's recursive 2-way scheme).
+	// K is the number of parts, any K ≥ 2. Each bisection splits a k-part
+	// subproblem into ⌈k/2⌉ parts on side 0 and ⌊k/2⌋ on side 1.
 	K int
-	// Balance applies to every bisection level.
+	// Balance is the window of an even split. An odd split scales it by
+	// 2·⌈k/2⌉/k, so side 0 aims at ⌈k/2⌉/k of the subproblem's weight.
 	Balance partition.Balance
 	// Cut is the 2-way engine.
 	Cut  Bipartitioner
@@ -54,8 +55,8 @@ func Partition(h *hypergraph.Hypergraph, cfg Config) (Result, error) {
 // PartitionCtx recursively bisects h into cfg.K parts, honoring ctx
 // cancellation between (and, through cfg.Cut, within) bisections.
 func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config) (Result, error) {
-	if cfg.K < 2 || cfg.K&(cfg.K-1) != 0 {
-		return Result{}, fmt.Errorf("multiway: K=%d, want a power of two ≥ 2", cfg.K)
+	if cfg.K < 2 {
+		return Result{}, fmt.Errorf("multiway: K=%d, want ≥ 2", cfg.K)
 	}
 	if cfg.Cut == nil {
 		return Result{}, fmt.Errorf("multiway: nil bipartitioner")
@@ -85,12 +86,18 @@ func recurse(ctx context.Context, h *hypergraph.Hypergraph, nodes []int, base, k
 		}
 		return nil
 	}
+	k0 := (k + 1) / 2
+	f := float64(2*k0) / float64(k) // exactly 1 for even k
+	bal := partition.Balance{R1: cfg.Balance.R1 * f, R2: cfg.Balance.R2 * f}
+	if err := bal.Validate(); err != nil {
+		return fmt.Errorf("multiway: K=%d: splitting %d parts %d+%d: %w", cfg.K, k, k0, k-k0, err)
+	}
 	sub, back, err := Induce(h, nodes)
 	if err != nil {
 		return err
 	}
 	seed := cfg.Seed*1000003 + int64(base)*8191 + int64(k)
-	sides, err := cfg.Cut(ctx, sub, cfg.Balance, seed)
+	sides, err := cfg.Cut(ctx, sub, bal, seed)
 	if err != nil {
 		return err
 	}
@@ -111,8 +118,8 @@ func recurse(ctx context.Context, h *hypergraph.Hypergraph, nodes []int, base, k
 	// The two halves are independent subproblems over disjoint node sets
 	// writing disjoint entries of parts — recurse concurrently.
 	return engine.Pair(ctx, cfg.Workers,
-		func(ctx context.Context) error { return recurse(ctx, h, left, base, k/2, cfg, parts) },
-		func(ctx context.Context) error { return recurse(ctx, h, right, base+k/2, k/2, cfg, parts) })
+		func(ctx context.Context) error { return recurse(ctx, h, left, base, k0, cfg, parts) },
+		func(ctx context.Context) error { return recurse(ctx, h, right, base+k0, k-k0, cfg, parts) })
 }
 
 // Induce builds the subhypergraph on the given node subset: nets keep only

@@ -77,13 +77,26 @@ func TestRecursive8WayWithPROP(t *testing.T) {
 	}
 }
 
-// TestRejectsBadK: non-power-of-two K is an error.
+// TestRejectsBadK: K < 2 is an error; any other K, power of two or not,
+// splits into K near-equal parts.
 func TestRejectsBadK(t *testing.T) {
 	h := gen.MustGenerate(gen.Params{Nodes: 64, Nets: 80, Pins: 260, Seed: 63})
-	for _, k := range []int{0, 1, 3, 6} {
+	for _, k := range []int{0, 1} {
 		_, err := multiway.Partition(h, multiway.Config{K: k, Balance: partition.Exact5050(), Cut: fmCutter})
 		if err == nil {
 			t.Errorf("K=%d accepted", k)
+		}
+	}
+	for _, k := range []int{3, 6} {
+		res, err := multiway.Partition(h, multiway.Config{K: k, Balance: partition.Exact5050(), Cut: fmCutter})
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		// Each of the ≤ 3 bisection levels may miss its target by one cell.
+		for p, s := range multiway.PartSizes(h, res.Parts, k) {
+			if d := float64(s) - 64/float64(k); d < -3 || d > 3 {
+				t.Errorf("K=%d part %d has weight %d, want %.1f ± 3", k, p, s, 64/float64(k))
+			}
 		}
 	}
 }

@@ -13,8 +13,11 @@ import (
 	"prop/internal/hypergraph"
 )
 
-// Balance is the (r1, r2) balance criterion of the paper: each side's
-// weight fraction must lie in [R1, R2]. For bisection R1 = 1 − R2.
+// Balance is the (r1, r2) balance criterion of the paper, read as side 0's
+// weight window: side 0's weight fraction must lie in [R1, R2], and side 1
+// takes the rest. For a symmetric window (R1 = 1 − R2) that is the paper's
+// "each side within [R1, R2]"; an asymmetric one aims side 0 off centre, as
+// a k-way recursion does when it splits an odd k.
 type Balance struct {
 	R1, R2 float64
 }
@@ -32,20 +35,18 @@ func (b Balance) Validate() error {
 	if !(b.R1 > 0 && b.R2 < 1 && b.R1 <= b.R2) {
 		return fmt.Errorf("partition: invalid balance (%g, %g): need 0 < r1 ≤ r2 < 1", b.R1, b.R2)
 	}
-	if math.Abs(b.R1+b.R2-1) > 1e-9 {
-		return fmt.Errorf("partition: bisection balance (%g, %g) must satisfy r1 = 1 − r2", b.R1, b.R2)
-	}
 	return nil
 }
 
-// Bounds returns the inclusive integer weight range [lo, hi] a single side
-// may occupy for total weight w. For r1 = r2 = 0.5 and odd w the bounds
-// relax to ⌊w/2⌋..⌈w/2⌉ so a feasible bisection always exists.
+// Bounds returns the inclusive integer weight range [lo, hi] side 0 may
+// occupy for total weight w. When the window holds no integer (r1 = r2 =
+// 0.5 and odd w, say) the bounds relax to the two integers around it,
+// ⌊r1·w⌋..⌈r2·w⌉, so a feasible bisection always exists.
 func (b Balance) Bounds(w int64) (lo, hi int64) {
 	lo = int64(math.Ceil(b.R1*float64(w) - 1e-9))
 	hi = int64(math.Floor(b.R2*float64(w) + 1e-9))
-	if lo > hi {
-		lo, hi = w/2, w-w/2
+	if lo > hi { // then lo = hi + 1: ⌈r1·w⌉ and ⌊r2·w⌋ cross
+		lo, hi = hi, lo
 	}
 	if lo < 0 {
 		lo = 0
@@ -56,7 +57,7 @@ func (b Balance) Bounds(w int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// Feasible reports whether a side of weight sw (out of total w) satisfies
+// Feasible reports whether side 0 at weight sw (out of total w) satisfies
 // the criterion.
 func (b Balance) Feasible(sw, w int64) bool {
 	lo, hi := b.Bounds(w)
@@ -79,31 +80,16 @@ func (b Balance) String() string {
 	return fmt.Sprintf("%.0f-%.0f%%", b.R1*100, b.R2*100)
 }
 
-// PartWindow returns the inclusive weight range [lo, hi] one part of a
-// k-way partition may occupy under fractional bounds r1 ≤ w(part)/total ≤ r2,
-// widened by the single-cell slack the 2-way engines also use (slack = the
-// maximum node weight). The fractions are truncated, not rounded — the
-// historical semantics of the direct k-way engine, preserved here so the
-// shared helper is a drop-in for its per-move feasibility test.
-func PartWindow(r1, r2 float64, total, slack int64) (lo, hi int64) {
-	lo = int64(r1*float64(total)) - slack
-	hi = int64(r2*float64(total)) + slack
-	if lo < 0 {
-		lo = 0
-	}
-	return lo, hi
-}
-
 // RandomSides returns a random side assignment satisfying bal: nodes are
 // shuffled and greedily packed into side 0 until its weight reaches the
-// midpoint. With unit node weights this yields the paper's random initial
-// bisections.
+// midpoint of side 0's window. With unit node weights this yields the
+// paper's random initial bisections.
 func RandomSides(h *hypergraph.Hypergraph, bal Balance, rng *rand.Rand) []uint8 {
 	n := h.NumNodes()
 	perm := rng.Perm(n)
-	total := h.TotalNodeWeight()
 	side := make([]uint8, n)
-	target := total / 2
+	lo, hi := bal.Bounds(h.TotalNodeWeight())
+	target := (lo + hi) / 2
 	var w0 int64
 	for _, u := range perm {
 		if w0+h.NodeWeight(u) <= target {

@@ -108,15 +108,11 @@ func (b *Bisection) Gain(u int) float64 {
 	return g
 }
 
-// CanMove reports whether moving u keeps both sides within bal, using the
+// CanMove reports whether moving u keeps side 0 within bal, using the
 // classic FM tolerance of one maximum-weight cell (see
 // Balance.FeasibleWithSlack).
 func (b *Bisection) CanMove(u int, bal Balance) bool {
-	s := b.side[u]
-	w := b.H.NodeWeight(u)
-	total := b.sideWeight[0] + b.sideWeight[1]
-	return bal.FeasibleWithSlack(b.sideWeight[s]-w, total, b.maxW) &&
-		bal.FeasibleWithSlack(b.sideWeight[1-s]+w, total, b.maxW)
+	return b.canShift(b.side[u], b.H.NodeWeight(u), bal)
 }
 
 // MaxNodeWeight returns the balance tolerance (largest node weight).
@@ -128,9 +124,17 @@ func (b *Bisection) MaxNodeWeight() int64 { return b.maxW }
 // move at the bound degenerates into a full scan of the blocked side and
 // passes go quadratic). With unit node weights the check is exact.
 func (b *Bisection) CanMoveFrom(s uint8, bal Balance) bool {
-	total := b.sideWeight[0] + b.sideWeight[1]
-	return bal.FeasibleWithSlack(b.sideWeight[s]-b.minW, total, b.maxW) &&
-		bal.FeasibleWithSlack(b.sideWeight[1-s]+b.minW, total, b.maxW)
+	return b.canShift(s, b.minW, bal)
+}
+
+// canShift reports whether moving weight w off side s keeps side 0 within
+// bal under the one-cell slack.
+func (b *Bisection) canShift(s uint8, w int64, bal Balance) bool {
+	w0 := b.sideWeight[0] - w
+	if s == 1 {
+		w0 = b.sideWeight[0] + w
+	}
+	return bal.FeasibleWithSlack(w0, b.sideWeight[0]+b.sideWeight[1], b.maxW)
 }
 
 // Move flips node u to the other side, updating pin counts and cut cost

@@ -45,7 +45,8 @@ func CompleteSides(h *hypergraph.Hypergraph, sides []uint8, bal Balance) ([]uint
 		}
 	}
 	total := h.TotalNodeWeight()
-	_, hi := bal.Bounds(total)
+	lo, hi := bal.Bounds(total)
+	limit := [2]int64{hi, total - lo} // each side's weight cap
 	// Heaviest first so the big placements happen while both sides still
 	// have room; ties resolve by node ID for determinism.
 	sort.Slice(unassigned, func(i, j int) bool {
@@ -83,7 +84,7 @@ func CompleteSides(h *hypergraph.Hypergraph, sides []uint8, bal Balance) ([]uint
 		// Balance bias: never push a side past its upper bound while the
 		// other side still has room.
 		w := h.NodeWeight(u)
-		if sw[s]+w > hi && sw[1-s]+w <= hi {
+		if sw[s]+w > limit[s] && sw[1-s]+w <= limit[1-s] {
 			s = 1 - s
 		}
 		out[u] = s
@@ -100,7 +101,7 @@ func CompleteSides(h *hypergraph.Hypergraph, sides []uint8, bal Balance) ([]uint
 			s := out[u]
 			attract := attraction(u)
 			w := h.NodeWeight(u)
-			if attract[1-s] > attract[s] && sw[1-s]+w <= hi {
+			if attract[1-s] > attract[s] && sw[1-s]+w <= limit[1-s] {
 				out[u] = 1 - s
 				sw[s] -= w
 				sw[1-s] += w

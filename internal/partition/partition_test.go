@@ -103,6 +103,10 @@ func TestBalanceBounds(t *testing.T) {
 		{partition.Exact5050(), 101, 50, 51},
 		{partition.B4555(), 100, 45, 55},
 		{partition.B4555(), 10, 5, 5}, // 4.5..5.5 -> 5..5
+		// Side 0's window need not be symmetric: a 2+1 split of k = 3.
+		{partition.Balance{R1: 0.6, R2: 0.7333}, 100, 60, 73},
+		// No integer in 66.67..66.67: relax to ⌊r1·w⌋..⌈r2·w⌉.
+		{partition.Balance{R1: 2.0 / 3, R2: 2.0 / 3}, 100, 66, 67},
 	}
 	for _, c := range cases {
 		lo, hi := c.bal.Bounds(c.w)
@@ -112,33 +116,68 @@ func TestBalanceBounds(t *testing.T) {
 	}
 }
 
-// TestBalanceValidate rejects non-bisection criteria.
+// TestBalanceValidate rejects windows outside (0, 1) or with r1 > r2, and
+// accepts asymmetric side-0 windows.
 func TestBalanceValidate(t *testing.T) {
-	if err := (partition.Balance{0.3, 0.6}).Validate(); err == nil {
-		t.Error("accepted r1+r2 != 1")
+	if err := (partition.Balance{0.6, 0.4}).Validate(); err == nil {
+		t.Error("accepted r1 > r2")
 	}
 	if err := (partition.Balance{0, 1}).Validate(); err == nil {
 		t.Error("accepted degenerate bounds")
 	}
-	if err := partition.B4555().Validate(); err != nil {
-		t.Errorf("rejected 45-55%%: %v", err)
+	if err := (partition.Balance{0.6, 1.1}).Validate(); err == nil {
+		t.Error("accepted r2 > 1")
+	}
+	for _, b := range []partition.Balance{partition.B4555(), {0.3, 0.6}} {
+		if err := b.Validate(); err != nil {
+			t.Errorf("rejected %v: %v", b, err)
+		}
 	}
 }
 
 // TestRandomSidesBalanced: generated initial partitions satisfy the
-// criterion for many seeds.
+// criterion for many seeds, symmetric or not.
 func TestRandomSidesBalanced(t *testing.T) {
 	h := gen.MustGenerate(gen.Params{Nodes: 101, Nets: 120, Pins: 400, Seed: 77})
-	bal := partition.Exact5050()
-	for seed := int64(0); seed < 40; seed++ {
-		sides := partition.RandomSides(h, bal, rand.New(rand.NewSource(seed)))
-		b, err := partition.NewBisection(h, sides)
-		if err != nil {
-			t.Fatal(err)
+	for _, bal := range []partition.Balance{partition.Exact5050(), {R1: 0.6, R2: 0.7}} {
+		for seed := int64(0); seed < 40; seed++ {
+			sides := partition.RandomSides(h, bal, rand.New(rand.NewSource(seed)))
+			b, err := partition.NewBisection(h, sides)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bal.Feasible(b.SideWeight(0), h.TotalNodeWeight()) {
+				t.Fatalf("%v seed %d: side-0 weight %d of %d infeasible", bal, seed, b.SideWeight(0), h.TotalNodeWeight())
+			}
 		}
-		if !bal.Feasible(b.SideWeight(0), h.TotalNodeWeight()) {
-			t.Fatalf("seed %d: side-0 weight %d of %d infeasible", seed, b.SideWeight(0), h.TotalNodeWeight())
-		}
+	}
+}
+
+// TestAsymmetricWindowMoves: with side 0's window at 60-70%, moves and
+// repair judge side 0 alone. Side 1 is heavy exactly when side 0 is below
+// the window, even when side 0 outweighs side 1.
+func TestAsymmetricWindowMoves(t *testing.T) {
+	h := gen.MustGenerate(gen.Params{Nodes: 100, Nets: 120, Pins: 400, Seed: 78})
+	bal := partition.Balance{R1: 0.6, R2: 0.7}
+	sides := make([]uint8, 100)
+	for u := 58; u < 100; u++ {
+		sides[u] = 1 // side 0 holds 58, one below 60 − 1
+	}
+	b, err := partition.NewBisection(h, sides)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.CanMove(99, bal) || b.CanMove(0, bal) {
+		t.Errorf("at 58/42: CanMove(side 1) %v, CanMove(side 0) %v; want true, false", b.CanMove(99, bal), b.CanMove(0, bal))
+	}
+	if !b.CanMoveFrom(1, bal) || b.CanMoveFrom(0, bal) {
+		t.Errorf("at 58/42: CanMoveFrom(1) %v, CanMoveFrom(0) %v; want true, false", b.CanMoveFrom(1, bal), b.CanMoveFrom(0, bal))
+	}
+	if err := partition.RepairBalance(b, bal); err != nil {
+		t.Fatal(err)
+	}
+	if w := b.SideWeight(0); w != 59 {
+		t.Errorf("repair left side 0 at %d, want 59 (the window's lower edge less one cell)", w)
 	}
 }
 
@@ -159,7 +198,7 @@ func TestSweepCutErrors(t *testing.T) {
 	if _, _, err := partition.SweepCut(h, []int{0, 1}, partition.Exact5050()); err == nil {
 		t.Error("accepted short order")
 	}
-	if _, _, err := partition.SweepCut(h, []int{0, 1, 2, 3, 4, 5}, partition.Balance{R1: 0.3, R2: 0.6}); err == nil {
+	if _, _, err := partition.SweepCut(h, []int{0, 1, 2, 3, 4, 5}, partition.Balance{R1: 0.6, R2: 0.3}); err == nil {
 		t.Error("accepted invalid balance")
 	}
 }

@@ -3,8 +3,8 @@ package partition
 import "fmt"
 
 // RepairBalance restores feasibility (under the usual one-cell slack) by
-// greedily moving the best-gain node off the heavy side until the bounds
-// hold. Multilevel uncoarsening needs this: a partition that satisfies the
+// greedily moving the best-gain node off the heavy side — side 1 when side
+// 0 is below its window, side 0 otherwise — until the bounds hold. Multilevel uncoarsening needs this: a partition that satisfies the
 // criterion at a coarse level (where the tolerance is one large cluster)
 // can violate it at the next finer level, where no single legal move
 // exists until balance is restored.
@@ -16,7 +16,7 @@ func RepairBalance(b *Bisection, bal Balance) error {
 			return nil
 		}
 		heavy := uint8(0)
-		if b.SideWeight(1) > b.SideWeight(0) {
+		if lo, _ := bal.Bounds(total); b.SideWeight(0) < lo-b.MaxNodeWeight() {
 			heavy = 1
 		}
 		best := -1

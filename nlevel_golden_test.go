@@ -13,6 +13,7 @@ import (
 // bit-identical, and the n-level cut is never worse than the V-cycle cut
 // on any of the golden five.
 func TestGoldenCutsNLevel(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		circuit string
 		vcycle  golden
@@ -27,6 +28,7 @@ func TestGoldenCutsNLevel(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.circuit, func(t *testing.T) {
+			t.Parallel()
 			if testing.Short() && tc.circuit == "industry2" {
 				t.Skip("short mode")
 			}

@@ -81,28 +81,55 @@ func TestParallelDeterminismKWay(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminismKWayDirect covers the direct k-way portfolio.
-func TestParallelDeterminismKWayDirect(t *testing.T) {
+// TestParallelDeterminismKWayAnyK does the same for k that are not powers
+// of two, where the recursion splits k into ⌈k/2⌉ and ⌊k/2⌋.
+func TestParallelDeterminismKWayAnyK(t *testing.T) {
 	n := parTestNetlist(t)
-	var ref prop.KWayResult
-	for i, par := range []int{1, 4} {
-		res, err := prop.KWayDirect(n, 3, prop.Options{Runs: 6, Seed: 2, Parallel: par})
-		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
-		}
-		if i == 0 {
-			ref = res
-			continue
-		}
-		if res.CutCost != ref.CutCost || res.CutNets != ref.CutNets {
-			t.Errorf("par=%d: cut (%g,%d), par=1 gave (%g,%d)",
-				par, res.CutCost, res.CutNets, ref.CutCost, ref.CutNets)
-		}
-		for u := range res.Parts {
-			if res.Parts[u] != ref.Parts[u] {
-				t.Fatalf("par=%d: part of node %d differs", par, u)
+	for _, k := range []int{3, 5, 6, 7} {
+		var ref prop.KWayResult
+		for i, par := range []int{1, 4} {
+			res, err := prop.KWay(n, k, prop.Options{Runs: 6, Seed: 2, Parallel: par})
+			if err != nil {
+				t.Fatalf("k=%d par=%d: %v", k, par, err)
+			}
+			if len(res.PartWeights) != k {
+				t.Fatalf("k=%d par=%d: %d parts", k, par, len(res.PartWeights))
+			}
+			checkKWayWindows(t, n, res, 0.5, 0.5)
+			if i == 0 {
+				ref = res
+				continue
+			}
+			if res.CutCost != ref.CutCost || res.CutNets != ref.CutNets {
+				t.Errorf("k=%d par=%d: cut (%g,%d), par=1 gave (%g,%d)",
+					k, par, res.CutCost, res.CutNets, ref.CutCost, ref.CutNets)
+			}
+			for u := range res.Parts {
+				if res.Parts[u] != ref.Parts[u] {
+					t.Fatalf("k=%d par=%d: part of node %d differs", k, par, u)
+				}
 			}
 		}
+	}
+}
+
+// TestKWayOnRunSerialized: under KWay, sibling bisections run their
+// portfolios concurrently, yet OnRun calls stay serialized (the hook here
+// appends to a slice without a lock, which -race would flag) and cover
+// every run of every bisection: k = 4 makes 3 bisections of 2 runs each.
+func TestKWayOnRunSerialized(t *testing.T) {
+	n, err := prop.Benchmark("balu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []prop.RunUpdate
+	_, err = prop.KWay(n, 4, prop.Options{Runs: 2, Parallel: 2,
+		OnRun: func(u prop.RunUpdate) { seen = append(seen, u) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 6 {
+		t.Errorf("OnRun called %d times, want 6", len(seen))
 	}
 }
 

@@ -3,13 +3,14 @@ package prop
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"prop/internal/anneal"
 	"prop/internal/engine"
 	"prop/internal/hypergraph"
-	"prop/internal/kwaydirect"
 	"prop/internal/multilevel"
 	"prop/internal/multiway"
 	"prop/internal/obs"
@@ -130,9 +131,9 @@ type Options struct {
 	// sequential best-of tie-break).
 	Parallel int
 
-	// OnRun, when non-nil, observes every completed multi-start run.
-	// Calls are serialized but arrive in completion order, which under
-	// Parallel > 1 need not be run order.
+	// OnRun, when non-nil, observes every completed multi-start run (under
+	// KWay, every run of every bisection). Calls are serialized but arrive
+	// in completion order, which under Parallel > 1 need not be run order.
 	OnRun func(RunUpdate)
 
 	// Tracer, when non-nil, records structured JSONL trace events: run
@@ -185,12 +186,20 @@ type Result struct {
 	Elapsed time.Duration
 }
 
+// balance is the one place a user's window enters: it must be a valid,
+// symmetric bisection window (r1 = 1 − r2).
 func (o Options) balance() (partition.Balance, error) {
 	if o.R1 == 0 && o.R2 == 0 {
 		return partition.Exact5050(), nil
 	}
 	b := partition.Balance{R1: o.R1, R2: o.R2}
-	return b, b.Validate()
+	if err := b.Validate(); err != nil {
+		return b, err
+	}
+	if math.Abs(b.R1+b.R2-1) > 1e-9 {
+		return b, fmt.Errorf("prop: bisection balance (%g, %g) must satisfy r1 = 1 − r2", b.R1, b.R2)
+	}
+	return b, nil
 }
 
 // Partition bipartitions the netlist.
@@ -203,11 +212,17 @@ func Partition(n *Netlist, o Options) (Result, error) {
 // and ml-prop between its levels and uncontraction batches, and returns
 // ctx's error. Runs execute concurrently per Options.Parallel.
 func PartitionCtx(ctx context.Context, n *Netlist, o Options) (Result, error) {
-	start := time.Now()
 	bal, err := o.balance()
 	if err != nil {
 		return Result{}, err
 	}
+	return partitionCtx(ctx, n, bal, o)
+}
+
+// partitionCtx is PartitionCtx under a validated side-0 window, which a
+// k-way bisection may aim off centre; o.R1 and o.R2 are not read.
+func partitionCtx(ctx context.Context, n *Netlist, bal partition.Balance, o Options) (Result, error) {
+	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -220,6 +235,7 @@ func PartitionCtx(ctx context.Context, n *Netlist, o Options) (Result, error) {
 	}
 
 	var res Result
+	var err error
 	switch o.Algorithm {
 	case AlgoEIG1:
 		r, err := spectral.EIG1(n.h, spectral.EIG1Config{Balance: bal, Seed: o.Seed})
@@ -386,9 +402,11 @@ type KWayResult struct {
 	Elapsed     time.Duration
 }
 
-// KWay recursively bisects the netlist into k parts (k a power of two ≥ 2)
-// using the configured 2-way algorithm at every level — the paper's
-// recursive min-cut scheme (§1) and §5 k-way extension.
+// KWay recursively bisects the netlist into k parts (any k ≥ 2) using the
+// configured 2-way algorithm at every level — the paper's recursive
+// min-cut scheme (§1) and §5 k-way extension. Each bisection splits a
+// k-part subproblem into ⌈k/2⌉ and ⌊k/2⌋ parts, side 0's window scaled to
+// aim at ⌈k/2⌉/k of its weight.
 func KWay(n *Netlist, k int, o Options) (KWayResult, error) {
 	return KWayCtx(context.Background(), n, k, o)
 }
@@ -403,14 +421,22 @@ func KWayCtx(ctx context.Context, n *Netlist, k int, o Options) (KWayResult, err
 	if err != nil {
 		return KWayResult{}, err
 	}
+	if onRun := o.OnRun; onRun != nil {
+		// Sibling bisections run their portfolios concurrently.
+		var mu sync.Mutex
+		o.OnRun = func(u RunUpdate) {
+			mu.Lock()
+			defer mu.Unlock()
+			onRun(u)
+		}
+	}
 	cutter := func(ctx context.Context, h *hypergraph.Hypergraph, b partition.Balance, seed int64) ([]uint8, error) {
 		oo := o
 		oo.Seed = seed
-		oo.R1, oo.R2 = b.R1, b.R2
 		// Warm starts are sized for the full netlist; recursive
 		// subproblems renumber nodes, so they always start cold.
 		oo.Initial = nil
-		res, err := PartitionCtx(ctx, &Netlist{h}, oo)
+		res, err := partitionCtx(ctx, &Netlist{h}, b, oo)
 		if err != nil {
 			return nil, err
 		}
@@ -427,55 +453,6 @@ func KWayCtx(ctx context.Context, n *Netlist, k int, o Options) (KWayResult, err
 		CutNets:     r.CutNets,
 		CutCost:     r.CutCost,
 		PartWeights: multiway.PartSizes(n.h, r.Parts, k),
-		Elapsed:     time.Since(start),
-	}, nil
-}
-
-// KWayDirect partitions the netlist into k parts with the direct
-// (non-recursive) generalized-FM engine — the paper's §5 k-way future-work
-// item implemented as single-engine moves over all (node, target) pairs.
-// k may be any integer ≥ 2 (no power-of-two restriction). Runs multi-start
-// like the 2-way engines.
-func KWayDirect(n *Netlist, k int, o Options) (KWayResult, error) {
-	return KWayDirectCtx(context.Background(), n, k, o)
-}
-
-// KWayDirectCtx is KWayDirect under a context, running its multi-start
-// portfolio on the engine's worker pool per Options.Parallel.
-func KWayDirectCtx(ctx context.Context, n *Netlist, k int, o Options) (KWayResult, error) {
-	start := time.Now()
-	runs := o.Runs
-	if runs < 1 {
-		runs = 1
-	}
-	// For direct k-way, Options.R1/R2 (when set) are per-part weight
-	// fractions straddling 1/k; zero selects ±15% around 1/k.
-	var kbal kwaydirect.Balance
-	if o.R1 != 0 || o.R2 != 0 {
-		kbal = kwaydirect.Balance{R1: o.R1, R2: o.R2}
-	}
-	cfg := engine.Config[kwaydirect.Result]{
-		Workers: o.Parallel,
-		Less:    func(a, b kwaydirect.Result) bool { return a.CutCost < b.CutCost },
-	}
-	if o.OnRun != nil {
-		cfg.OnRun = func(u engine.Update[kwaydirect.Result]) {
-			o.OnRun(RunUpdate{Run: u.Run, CutCost: u.Result.CutCost, CutNets: u.Result.CutNets})
-		}
-	}
-	best, _, err := engine.Portfolio(ctx, runs, cfg,
-		func(ctx context.Context, r int) (kwaydirect.Result, error) {
-			rng := rand.New(rand.NewSource(o.Seed + int64(r)))
-			return kwaydirect.Partition(n.h, kwaydirect.RandomParts(n.h, k, rng), kwaydirect.Config{K: k, Balance: kbal})
-		})
-	if err != nil {
-		return KWayResult{}, err
-	}
-	return KWayResult{
-		Parts:       best.Parts,
-		CutNets:     best.CutNets,
-		CutCost:     best.CutCost,
-		PartWeights: multiway.PartSizes(n.h, best.Parts, k),
 		Elapsed:     time.Since(start),
 	}, nil
 }

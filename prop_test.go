@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"prop"
+	"prop/internal/partition"
 )
 
 func testNetlist(t *testing.T) *prop.Netlist {
@@ -72,11 +73,24 @@ func TestBalance4555(t *testing.T) {
 	}
 }
 
-// TestBadBalanceRejected: invalid criteria surface as errors.
+// TestBadBalanceRejected: invalid criteria surface as errors. The
+// internal side-0 window may be asymmetric, but a caller's (r1, r2) must
+// still satisfy r1 = 1 − r2 at every entry point that takes one.
 func TestBadBalanceRejected(t *testing.T) {
 	n := testNetlist(t)
-	if _, err := prop.Partition(n, prop.Options{R1: 0.3, R2: 0.6}); err == nil {
-		t.Error("accepted r1+r2 != 1")
+	o := prop.Options{R1: 0.3, R2: 0.6}
+	if _, err := prop.Partition(n, o); err == nil {
+		t.Error("Partition accepted r1+r2 != 1")
+	}
+	if _, err := prop.KWay(n, 3, o); err == nil {
+		t.Error("KWay accepted r1+r2 != 1")
+	}
+	res, err := prop.Partition(n, prop.Options{Runs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := prop.Verify(n, res.Sides, o); err == nil {
+		t.Error("Verify accepted r1+r2 != 1")
 	}
 }
 
@@ -95,8 +109,8 @@ func TestKWay(t *testing.T) {
 			t.Errorf("part %d weight %d, want ≈ 50", p, w)
 		}
 	}
-	if _, err := prop.KWay(n, 6, prop.Options{}); err == nil {
-		t.Error("accepted k=6")
+	if res, err := prop.KWay(n, 6, prop.Options{}); err != nil || len(res.PartWeights) != 6 {
+		t.Errorf("k=6: %d parts, err %v", len(res.PartWeights), err)
 	}
 	// Every bisection algorithm recurses, including ml-prop and the empty
 	// algorithm, which selects PROP.
@@ -240,31 +254,70 @@ func TestExtensionAlgorithms(t *testing.T) {
 	}
 }
 
-// TestKWayDirect: the direct engine via the facade — any k (not just
-// powers of two), near-equal parts, exact bookkeeping.
-func TestKWayDirect(t *testing.T) {
+// TestKWayAnyK: recursive KWay takes any k ≥ 2, not just powers of two,
+// and every bisection's side 0 stays in its scaled window at 50-50 and
+// 45-55.
+func TestKWayAnyK(t *testing.T) {
 	n := testNetlist(t)
-	for _, k := range []int{3, 5, 8} {
-		res, err := prop.KWayDirect(n, k, prop.Options{Runs: 2, Seed: 7})
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if len(res.PartWeights) != k {
-			t.Fatalf("k=%d: %d parts", k, len(res.PartWeights))
-		}
-		want := int64(n.NumNodes()) / int64(k)
-		for p, w := range res.PartWeights {
-			if w < want*7/10 || w > want*13/10 {
-				t.Errorf("k=%d part %d weight %d, want ≈ %d", k, p, w, want)
+	for _, r := range [][2]float64{{0.5, 0.5}, {0.45, 0.55}} {
+		for _, k := range []int{3, 5, 6, 7} {
+			res, err := prop.KWay(n, k, prop.Options{Runs: 2, Seed: 7, R1: r[0], R2: r[1]})
+			if err != nil {
+				t.Fatalf("k=%d %v: %v", k, r, err)
 			}
-		}
-		if res.CutNets <= 0 {
-			t.Errorf("k=%d: degenerate cut %d", k, res.CutNets)
+			if len(res.PartWeights) != k {
+				t.Fatalf("k=%d %v: %d parts", k, r, len(res.PartWeights))
+			}
+			checkKWayWindows(t, n, res, r[0], r[1])
 		}
 	}
-	if _, err := prop.KWayDirect(n, 1, prop.Options{}); err == nil {
+	if _, err := prop.KWay(n, 1, prop.Options{}); err == nil {
 		t.Error("accepted k=1")
 	}
+	// k = 3 scales the window by 4/3, so r2 = 0.75 leaves no valid side-0
+	// window; the error names k.
+	_, err := prop.KWay(n, 3, prop.Options{R1: 0.25, R2: 0.75})
+	if err == nil || !strings.Contains(err.Error(), "K=3") {
+		t.Errorf("k=3 at 25-75: err %v, want one naming K=3", err)
+	}
+}
+
+// checkKWayWindows checks every bisection of a recursive k-way result. In
+// each k-part subtree, parts [base, base+⌈k/2⌉) are side 0, whose weight
+// must lie in (r1, r2) scaled by 2·⌈k/2⌉/k and widened by one cell. Node
+// weights must be unit.
+func checkKWayWindows(t *testing.T, n *prop.Netlist, res prop.KWayResult, r1, r2 float64) {
+	t.Helper()
+	var total int64
+	for _, w := range res.PartWeights {
+		total += w
+	}
+	if total != int64(n.NumNodes()) {
+		t.Fatalf("part weights sum to %d over %d nodes; want unit weights", total, n.NumNodes())
+	}
+	var walk func(base, k int)
+	walk = func(base, k int) {
+		if k < 2 {
+			return
+		}
+		k0 := (k + 1) / 2
+		var w, w0 int64
+		for p, pw := range res.PartWeights[base : base+k] {
+			w += pw
+			if p < k0 {
+				w0 += pw
+			}
+		}
+		f := float64(2*k0) / float64(k)
+		bal := partition.Balance{R1: r1 * f, R2: r2 * f}
+		if !bal.FeasibleWithSlack(w0, w, 1) {
+			lo, hi := bal.Bounds(w)
+			t.Errorf("parts %d..%d weigh %d of %d, want %d..%d ± 1", base, base+k0-1, w0, w, lo, hi)
+		}
+		walk(base, k0)
+		walk(base+k0, k-k0)
+	}
+	walk(0, len(res.PartWeights))
 }
 
 // TestAlgorithmsRegistryComplete: every registered algorithm is distinct

@@ -103,6 +103,16 @@ if [ -n "$knobs" ]; then
 	exit 1
 fi
 
+echo "== k-way guard =="
+# A k-way partition is recursive bisection through internal/multiway.
+kway=$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=perfbench \
+	'KWayDirect|kwaydirect|PartWindow' . || true)
+if [ -n "$kway" ]; then
+	echo "a second k-way engine came back (recurse through internal/multiway):" >&2
+	echo "$kway" >&2
+	exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
