@@ -88,7 +88,7 @@ func TestParallelDeterminismKWayAnyK(t *testing.T) {
 	for _, k := range []int{3, 5, 6, 7} {
 		var ref prop.KWayResult
 		for i, par := range []int{1, 4} {
-			res, err := prop.KWay(n, k, prop.Options{Runs: 6, Seed: 2, Parallel: par})
+			res, err := prop.KWay(n, k, prop.Options{Runs: 3, Seed: 2, Parallel: par})
 			if err != nil {
 				t.Fatalf("k=%d par=%d: %v", k, par, err)
 			}
