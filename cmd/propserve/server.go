@@ -474,6 +474,9 @@ func (s *server) decodeQueryValues(q map[string][]string) (*partitionRequest, er
 	if req.opts.Runs < 1 || req.opts.Runs > 10000 {
 		return nil, fmt.Errorf("bad runs %d: want 1..10000", req.opts.Runs)
 	}
+	if err := req.opts.ValidateBalance(); err != nil {
+		return nil, fmt.Errorf("bad r1/r2: %w", err)
+	}
 	return req, nil
 }
 

@@ -190,7 +190,8 @@ func TestPartitionEndpointErrors(t *testing.T) {
 		{"bad k", "/v1/partition?k=1", hgr, http.StatusBadRequest},
 		{"unknown algo", "/v1/partition?algo=nosuch", hgr, http.StatusBadRequest},
 		{"k above the node count", "/v1/partition?k=121", hgr, http.StatusUnprocessableEntity},
-		{"asymmetric balance", "/v1/partition?r1=0.3&r2=0.6", hgr, http.StatusUnprocessableEntity},
+		// A bad window is a bad query value, like every other one.
+		{"asymmetric balance", "/v1/partition?r1=0.3&r2=0.6", hgr, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp := postHGR(t, ts.URL+c.url, c.body)
@@ -198,6 +199,14 @@ func TestPartitionEndpointErrors(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
 		}
+	}
+	// The window is checked before the body is read: a malformed netlist
+	// under a bad window is reported as the window.
+	resp := postHGR(t, ts.URL+"/v1/partition?r1=0.7&r2=0.3", "not a netlist")
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "r1/r2") {
+		t.Errorf("bad window with a malformed body: status %d, body %s", resp.StatusCode, body)
 	}
 }
 

@@ -12,6 +12,14 @@ package core
 // of the unlocked pins. Node gains then cost Θ(deg) regardless of net
 // sizes. Products are maintained incrementally under SetP/MoveLock and
 // rebuilt exactly by Rebuild (call it after writing P directly).
+//
+// Every write to a gain input also stamps the nets it touches from a
+// mutation clock, so a caller that records Clock() when it computes
+// Gain(u) can later ask Changed(u, at) whether that value can still be
+// current: if no net of u carries a newer stamp, Gain(u) would return the
+// same bits. A net with a locked pin on each side is dead — it adds
+// exactly 0 to every pin's gain for the rest of the pass (Eqns. 5–6) — so
+// writes to it are not stamped.
 import (
 	"prop/internal/partition"
 )
@@ -28,17 +36,14 @@ type Calculator struct {
 	P      []float64
 	Locked []bool
 
-	// RebuildEvery, when > 0, triggers a full exact Rebuild after that many
-	// incremental ratio updates — a float-drift bound for extremely long
-	// incremental sequences. The default 0 never rebuilds spontaneously;
-	// the measured drift over ~10^5 random ops stays below 1e-12 (see
-	// TestCalculatorDriftGuard), so the engines leave this off.
-	RebuildEvery int
-
 	lockedPins [2][]int32
 	// prod[s][e] = Π P[v] over unlocked pins v of net e on side s.
-	prod     [2][]float64
-	ratioOps int
+	prod [2][]float64
+
+	// clock counts writes to gain inputs; stamp[e] is the clock of the
+	// last write that touched net e while it was live.
+	clock uint64
+	stamp []uint64
 }
 
 // NewCalculator creates a Calculator with no locked nodes and probabilities
@@ -56,17 +61,21 @@ func NewCalculator(b *partition.Bisection) *Calculator {
 	c.lockedPins[1] = make([]int32, e)
 	c.prod[0] = make([]float64, e)
 	c.prod[1] = make([]float64, e)
+	c.stamp = make([]uint64, e)
 	c.Rebuild()
 	return c
 }
 
 // Rebuild recomputes every net's side products exactly from P, the lock
-// state and the current side assignment. Call after bulk writes to P or
-// ResetLocks.
+// state and the current side assignment, and stamps every net. Call after
+// bulk writes to P, ResetLocks, or side changes made outside the
+// calculator (a pass's rollback).
 func (c *Calculator) Rebuild() {
 	h := c.B.H
 	side := c.B.SideView()
+	c.clock++
 	for e := 0; e < h.NumNets(); e++ {
+		c.stamp[e] = c.clock
 		p0, p1 := 1.0, 1.0
 		for _, v := range h.Net(e) {
 			if c.Locked[v] {
@@ -80,7 +89,32 @@ func (c *Calculator) Rebuild() {
 		}
 		c.prod[0][e], c.prod[1][e] = p0, p1
 	}
-	c.ratioOps = 0
+}
+
+// Clock returns the mutation clock. A gain computed now reflects every
+// write stamped at or before it.
+func (c *Calculator) Clock() uint64 { return c.clock }
+
+// Changed reports whether any net of u was stamped after clock value at,
+// that is, whether Gain(u) may differ from its value when Clock() read
+// at. When it reports false, Gain(u) returns that value bit for bit.
+func (c *Calculator) Changed(u int, at uint64) bool {
+	for _, e := range c.B.H.NetsOf(u) {
+		if c.stamp[e] > at {
+			return true
+		}
+	}
+	return false
+}
+
+// touch stamps net e for a write at the current clock unless the net is
+// dead: with a locked pin on each side both freeing probabilities are 0
+// and the net stays cut, so it adds exactly cost·0 = 0 to every pin's
+// gain (for a finite cost).
+func (c *Calculator) touch(e int32) {
+	if c.lockedPins[0][e] == 0 || c.lockedPins[1][e] == 0 {
+		c.stamp[e] = c.clock
+	}
 }
 
 // ResetLocks clears all locks (start of a pass) and rebuilds products.
@@ -118,14 +152,12 @@ func (c *Calculator) SetP(u int, p float64) {
 		}
 		return
 	}
+	c.clock++
 	ratio := p / old
 	prodS := c.prod[s]
 	for _, e := range h.NetsOf(u) {
 		prodS[e] *= ratio
-	}
-	c.ratioOps++
-	if c.RebuildEvery > 0 && c.ratioOps >= c.RebuildEvery {
-		c.Rebuild()
+		c.touch(e)
 	}
 }
 
@@ -135,6 +167,8 @@ func (c *Calculator) SetP(u int, p float64) {
 func (c *Calculator) RebuildNet(e int) { c.rebuildNet(e) }
 
 func (c *Calculator) rebuildNet(e int) {
+	c.clock++
+	c.touch(int32(e))
 	side := c.B.SideView()
 	p0, p1 := 1.0, 1.0
 	for _, v := range c.B.H.Net(e) {
@@ -158,19 +192,10 @@ func (c *Calculator) Lock(u int) {
 		return
 	}
 	s := c.B.Side(u)
-	h := c.B.H
-	if c.P[u] != 0 {
-		for _, e := range h.NetsOf(u) {
-			c.prod[s][e] /= c.P[u]
-		}
-	} else {
-		for _, e := range h.NetsOf(u) {
-			c.rebuildNet(int(e))
-		}
-	}
-	c.Locked[u] = true
-	c.P[u] = 0
-	for _, e := range h.NetsOf(u) {
+	c.lockOut(u, s)
+	c.clock++
+	for _, e := range c.B.H.NetsOf(u) {
+		c.touch(e)
 		c.lockedPins[s][e]++
 	}
 }
@@ -180,24 +205,31 @@ func (c *Calculator) Lock(u int) {
 // return the immediate (deterministic) gain of the move.
 func (c *Calculator) MoveLock(u int) float64 {
 	s := c.B.Side(u)
-	h := c.B.H
-	if c.P[u] != 0 {
-		for _, e := range h.NetsOf(u) {
-			c.prod[s][e] /= c.P[u]
-		}
-	} else {
-		for _, e := range h.NetsOf(u) {
-			c.rebuildNet(int(e))
-		}
-	}
-	c.Locked[u] = true
-	c.P[u] = 0
+	c.lockOut(u, s)
 	imm := c.B.Move(u)
 	t := 1 - s
-	for _, e := range h.NetsOf(u) {
+	c.clock++
+	for _, e := range c.B.H.NetsOf(u) {
+		c.touch(e)
 		c.lockedPins[t][e]++
 	}
 	return imm
+}
+
+// lockOut locks u, which sits unlocked on side s, and takes its
+// probability out of side s's products: by division, or for a zero factor
+// by rebuilding each net with u already locked.
+func (c *Calculator) lockOut(u int, s uint8) {
+	pu := c.P[u]
+	c.Locked[u] = true
+	c.P[u] = 0
+	for _, e := range c.B.H.NetsOf(u) {
+		if pu != 0 {
+			c.prod[s][e] /= pu
+		} else {
+			c.rebuildNet(int(e))
+		}
+	}
 }
 
 // Prod returns the cached product of probabilities of the unlocked pins of

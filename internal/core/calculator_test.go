@@ -86,8 +86,7 @@ func exactProds(c *core.Calculator) [2][]float64 {
 
 // TestCalculatorDriftGuard: after thousands of random SetP/MoveLock/Reset
 // operations the incrementally maintained products stay within 1e-9 of an
-// exact recompute, and with RebuildEvery = 1 they are bitwise exact after
-// every operation.
+// exact recompute.
 func TestCalculatorDriftGuard(t *testing.T) {
 	c := randomCalc(t, 300, 330, 1100, 31)
 	h := c.B.H
@@ -121,24 +120,31 @@ func TestCalculatorDriftGuard(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// With RebuildEvery = 1 every ratio update triggers a full exact
-	// rebuild, so the products must match the exact recompute bitwise.
-	c2 := randomCalc(t, 300, 330, 1100, 31)
-	c2.RebuildEvery = 1
-	rng = rand.New(rand.NewSource(8))
-	for op := 0; op < 500; op++ {
-		u := rng.Intn(h.NumNodes())
-		if c2.Locked[u] {
-			continue
-		}
-		c2.SetP(u, 0.4+0.55*rng.Float64())
+// TestLockZeroProbability: locking a node whose probability is 0 takes it
+// out of its nets' products by rebuilding them, so the rebuild must see
+// the node already locked. Otherwise its zero factor stays in the product
+// after it has left.
+func TestLockZeroProbability(t *testing.T) {
+	c := randomCalc(t, 120, 130, 440, 17)
+	h := c.B.H
+	for u := 0; u < h.NumNodes(); u += 7 {
+		c.P[u] = 0
 	}
-	exact = exactProds(c2)
+	c.Rebuild()
+	for u := 0; u < h.NumNodes(); u += 7 {
+		if u%2 == 0 {
+			c.MoveLock(u)
+		} else {
+			c.Lock(u)
+		}
+	}
+	exact := exactProds(c)
 	for s := 0; s < 2; s++ {
-		for e := 0; e < c2.B.H.NumNets(); e++ {
-			if got, want := c2.Prod(uint8(s), e), exact[s][e]; got != want {
-				t.Fatalf("RebuildEvery=1: prod[%d][%d] = %g, exact %g (not bitwise equal)", s, e, got, want)
+		for e := 0; e < h.NumNets(); e++ {
+			if got, want := c.Prod(uint8(s), e), exact[s][e]; got != want {
+				t.Fatalf("prod[%d][%d] = %g after locking zero-probability pins, exact %g", s, e, got, want)
 			}
 		}
 	}
@@ -185,4 +191,74 @@ func TestGainMatchesNetGainSum(t *testing.T) {
 	}
 	c.Rebuild()
 	check("with zero pins")
+}
+
+// FuzzCalculatorStamps pins the change-stamp contract the PROP pass engine
+// relies on to skip refreshes. Each op is three bytes: kind, node, and a
+// probability code. The ops are SetP (zero probabilities included), a bulk
+// P write followed by RebuildNet on every net of the node (the refine
+// path), MoveLock, Lock, RebuildNet and Rebuild. A node's gain is recorded
+// together with the clock it was computed at, as refreshNode does. After
+// every op, each node whose nets carry no newer stamp must still have that
+// gain, bit for bit.
+func FuzzCalculatorStamps(f *testing.F) {
+	f.Add(int64(1), []byte{2, 3, 0, 2, 9, 0, 0, 4, 5, 2, 17, 0, 0, 9, 1, 3, 22, 0, 0, 30, 6, 5, 0, 0})
+	f.Add(int64(2), []byte{0, 1, 0, 0, 2, 0, 2, 1, 0, 3, 2, 0, 1, 5, 3, 0, 6, 2, 4, 7, 0, 2, 8, 0, 0, 9, 4})
+	f.Add(int64(3), []byte{2, 0, 0, 2, 1, 0, 2, 2, 0, 2, 3, 0, 2, 4, 0, 2, 5, 0, 0, 6, 1, 0, 7, 2, 0, 8, 3})
+	// A net with a locked pin on one side only is still live: writes to
+	// it must be stamped.
+	f.Add(int64(-104), []byte("C\xb707800\xd50"))
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) > 3*200 {
+			ops = ops[:3*200]
+		}
+		c := randomCalc(t, 40, 48, 150, seed)
+		h := c.B.H
+		n := h.NumNodes()
+		gain := make([]float64, n)
+		at := make([]uint64, n)
+		record := func(u int) {
+			at[u] = c.Clock()
+			gain[u] = c.Gain(u)
+		}
+		for u := 0; u < n; u++ {
+			record(u)
+		}
+		for i := 0; i+3 <= len(ops); i += 3 {
+			u := int(ops[i+1]) % n
+			p := float64(ops[i+2]%5) / 4 // 0, .25, .5, .75, 1
+			switch ops[i] % 8 {
+			case 0, 1:
+				c.SetP(u, p)
+			case 2:
+				if !c.Locked[u] {
+					c.MoveLock(u)
+				}
+			case 3:
+				c.Lock(u)
+			case 4:
+				if !c.Locked[u] {
+					c.P[u] = p
+					for _, e := range h.NetsOf(u) {
+						c.RebuildNet(int(e))
+					}
+				}
+			case 5:
+				c.RebuildNet(int(ops[i+1]) % h.NumNets())
+			case 6:
+				c.Rebuild()
+			case 7:
+				record(u)
+			}
+			for v := 0; v < n; v++ {
+				if c.Changed(v, at[v]) {
+					continue
+				}
+				if g := c.Gain(v); math.Float64bits(g) != math.Float64bits(gain[v]) {
+					t.Fatalf("op %d: node %d unchanged since clock %d, but Gain = %v, recorded %v",
+						i/3, v, at[v], g, gain[v])
+				}
+			}
+		}
+	})
 }

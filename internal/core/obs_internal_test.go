@@ -74,3 +74,24 @@ func BenchmarkEmitPassDiscardTracer(b *testing.B) {
 		e.emitPass(i, 42, 3, time.Millisecond)
 	}
 }
+
+// TestPassRefreshCounters: an untraced pass still counts its refresh
+// effort, the counters add up, and the change stamps skip most refreshes.
+func TestPassRefreshCounters(t *testing.T) {
+	e := obsTestEngine(t, nil)
+	e.runPass()
+	var ev obs.Pass
+	e.FillPass(&ev)
+	n := e.b.H.NumNodes()
+	if ev.SweptNodes < n || ev.Refreshes == 0 {
+		t.Fatalf("swept %d (want ≥ %d), refreshes %d (want > 0)", ev.SweptNodes, n, ev.Refreshes)
+	}
+	if ev.GainEvals != ev.SweptNodes+ev.Refreshes-ev.StampSkips {
+		t.Errorf("gain evals %d, want swept %d + refreshes %d − stamp skips %d",
+			ev.GainEvals, ev.SweptNodes, ev.Refreshes, ev.StampSkips)
+	}
+	if ev.StampSkips*2 < ev.Refreshes || ev.StampSkips > ev.Refreshes {
+		t.Errorf("stamps skipped %d of %d refreshes, want at least half", ev.StampSkips, ev.Refreshes)
+	}
+	t.Logf("swept %d, refreshes %d, stamp skips %d", ev.SweptNodes, ev.Refreshes, ev.StampSkips)
+}

@@ -46,41 +46,36 @@ func Partition(b *partition.Bisection, cfg Config) (Result, error) {
 	}, nil
 }
 
-// passStats aggregates the observability counters of one pass. The cheap
-// integer counters are maintained unconditionally (they ride on work the
-// pass already does); the node-level swept counter is only exact when
-// tracing is on, because counting it adds a read to the dirty-node
-// marking loop.
+// passStats aggregates the observability counters of one pass. They are
+// integer increments riding on work the pass already does, so they are
+// maintained whether or not the pass is traced.
 type passStats struct {
 	dirtyNets   int   // dirty-net rebuilds summed over refine iterations
 	swept       int   // gain recomputations across refine sweeps
 	refineIters int   // refine iterations executed
 	sweepWallNS int64 // wall clock of the refinement sweeps
+	refreshes   int   // in-pass gain refreshes requested (neighbors + top K)
+	stampSkips  int   // refreshes skipped because no net of the node changed
 	moves       int   // virtual moves made
 	kept        int   // moves kept after maximum-prefix rollback
 }
 
-func (s *passStats) reset() {
-	s.dirtyNets, s.swept, s.refineIters = 0, 0, 0
-	s.sweepWallNS = 0
-	s.moves, s.kept = 0, 0
-}
+func (s *passStats) reset() { *s = passStats{} }
 
 type passEngine struct {
 	b          *partition.Bisection
 	cfg        Config
 	calc       *Calculator
 	gain       []float64
+	gainAt     []uint64 // calc.Clock() when gain[u] was computed
 	nbrScratch []bool
 	nbrBuf     []int32
 	topBuf     []int
 	heaps      [2]*ds.GainHeap
 	l          *moves.Loop
 
-	// ps carries the current pass's observability counters; traced
-	// latches the tracer level so hot loops test one bool.
-	ps     passStats
-	traced bool
+	// ps carries the current pass's observability counters.
+	ps passStats
 
 	// Dirty-net refinement state (§3.4 economics applied to the refine
 	// fixpoint): after the first full sweep of an iteration, only nets with
@@ -101,10 +96,10 @@ func newPassEngine(b *partition.Bisection, cfg Config) *passEngine {
 		cfg:        cfg,
 		calc:       NewCalculator(b),
 		gain:       make([]float64, n),
+		gainAt:     make([]uint64, n),
 		nbrScratch: make([]bool, n),
 		dirtyNet:   make([]bool, b.H.NumNets()),
 		dirtyNode:  make([]bool, n),
-		traced:     cfg.Tracer.PassEnabled(),
 	}
 }
 
@@ -147,12 +142,15 @@ func (e *passEngine) emitPass(pass int, cut, gmax float64, dur time.Duration) {
 }
 
 // FillPass implements moves.PassFiller: decorate the driver's pass event
-// with PROP's refinement counters.
+// with PROP's refinement and refresh counters.
 func (e *passEngine) FillPass(ev *obs.Pass) {
 	ev.DirtyNets = e.ps.dirtyNets
 	ev.SweptNodes = e.ps.swept
 	ev.RefineIters = e.ps.refineIters
 	ev.SweepWall = time.Duration(e.ps.sweepWallNS)
+	ev.Refreshes = e.ps.refreshes
+	ev.GainEvals = e.ps.swept + e.ps.refreshes - e.ps.stampSkips
+	ev.StampSkips = e.ps.stampSkips
 }
 
 // seedProbabilities implements step 3 of Fig. 2.
@@ -172,21 +170,26 @@ func (e *passEngine) seedProbabilities() {
 }
 
 // sweepGains recomputes e.gain[u] = calc.Gain(u) for every node (only ==
-// nil) or for the marked subset. The sweep wall clock is recorded in e.ps —
-// two time.Now calls per sweep, feeding the pass event's sweep_wall_us.
+// nil) or for the marked subset, recording the clock each gain reflects.
+// The sweep wall clock is recorded in e.ps — two time.Now calls per sweep,
+// feeding the pass event's sweep_wall_us.
 func (e *passEngine) sweepGains(only []bool) {
 	n := e.b.H.NumNodes()
 	start := time.Now()
 	calc := e.calc
+	at := calc.Clock()
 	if only == nil {
 		e.ps.swept += n
 		for u := 0; u < n; u++ {
 			e.gain[u] = calc.Gain(u)
+			e.gainAt[u] = at
 		}
 	} else {
 		for u := 0; u < n; u++ {
 			if only[u] {
 				e.gain[u] = calc.Gain(u)
+				e.gainAt[u] = at
+				e.ps.swept++
 			}
 		}
 	}
@@ -265,18 +268,6 @@ func (e *passEngine) applyProbabilities(last bool) {
 	e.dirtyCount = len(e.dirtyNets)
 	e.ps.dirtyNets += len(e.dirtyNets)
 	if last {
-		return
-	}
-	if e.traced {
-		// Count the nodes the next sweep will recompute (= newly marked).
-		for _, en := range e.dirtyNets {
-			for _, v := range h.Net(int(en)) {
-				if !e.dirtyNode[v] {
-					e.dirtyNode[v] = true
-					e.ps.swept++
-				}
-			}
-		}
 		return
 	}
 	for _, en := range e.dirtyNets {
@@ -373,12 +364,22 @@ func (e *passEngine) updateAfterMove(u int) {
 	}
 }
 
+// refreshNode recomputes v's gain and, if it changed, its probability and
+// heap key. When no net of v was stamped since gain[v] was computed,
+// Gain(v) would return gain[v] bit for bit, so the refresh is skipped.
 func (e *passEngine) refreshNode(v int) {
-	g := e.calc.Gain(v)
+	e.ps.refreshes++
+	calc := e.calc
+	if !calc.Changed(v, e.gainAt[v]) {
+		e.ps.stampSkips++
+		return
+	}
+	e.gainAt[v] = calc.Clock()
+	g := calc.Gain(v)
 	if g == e.gain[v] {
 		return
 	}
 	e.gain[v] = g
-	e.calc.SetP(v, e.cfg.Probability(g))
+	calc.SetP(v, e.cfg.Probability(g))
 	e.heaps[e.b.Side(v)].Insert(v, g) // reinsert: in-place keyed update
 }

@@ -186,14 +186,62 @@ func (h *GainHeap) siftDown(i int) {
 // returns false or the heap is exhausted, without mutating the heap.
 // visit must not mutate it either.
 func (h *GainHeap) TopDown(visit func(u int, g float64) bool) {
-	if len(h.nodes) == 0 {
-		return
+	h.frontierStart()
+	for len(h.cand) > 0 {
+		i := h.frontierNext()
+		if !visit(int(h.nodes[i]), h.gains[i]) {
+			break
+		}
 	}
-	// cand is itself a tiny binary heap of entry indices, ordered by the
-	// entries they refer to; it grows by at most one per visited entry.
-	cand := h.cand[:0]
-	push := func(i int32) {
-		cand = append(cand, i)
+}
+
+// TopK appends up to k best nodes to dst and returns it; used by PROP's
+// "refresh the top few contenders" update rule (§3.4). It walks the
+// frontier directly: no visit closure on the per-move path.
+func (h *GainHeap) TopK(k int, dst []int) []int {
+	h.frontierStart()
+	for n := 0; n < k && len(h.cand) > 0; n++ {
+		dst = append(dst, int(h.nodes[h.frontierNext()]))
+	}
+	return dst
+}
+
+// frontierStart resets the candidate frontier h.cand to the root entry.
+// The frontier is itself a tiny binary heap of entry indices, ordered by
+// the entries they refer to; it grows by at most one per yielded entry.
+func (h *GainHeap) frontierStart() {
+	h.cand = h.cand[:0]
+	if len(h.nodes) > 0 {
+		h.cand = append(h.cand, 0)
+	}
+}
+
+// frontierNext pops the best frontier entry, pushes its children and
+// returns it; the frontier must be non-empty.
+func (h *GainHeap) frontierNext() int32 {
+	cand := h.cand
+	top := cand[0]
+	last := len(cand) - 1
+	cand[0] = cand[last]
+	cand = cand[:last]
+	c := 0
+	for {
+		l, r := 2*c+1, 2*c+2
+		best := c
+		if l < len(cand) && h.before(int(cand[l]), int(cand[best])) {
+			best = l
+		}
+		if r < len(cand) && h.before(int(cand[r]), int(cand[best])) {
+			best = r
+		}
+		if best == c {
+			break
+		}
+		cand[c], cand[best] = cand[best], cand[c]
+		c = best
+	}
+	for child := 2*top + 1; child <= 2*top+2 && int(child) < len(h.nodes); child++ {
+		cand = append(cand, child)
 		c := len(cand) - 1
 		for c > 0 {
 			p := (c - 1) / 2
@@ -204,54 +252,6 @@ func (h *GainHeap) TopDown(visit func(u int, g float64) bool) {
 			c = p
 		}
 	}
-	pop := func() int32 {
-		top := cand[0]
-		last := len(cand) - 1
-		cand[0] = cand[last]
-		cand = cand[:last]
-		c := 0
-		for {
-			l, r := 2*c+1, 2*c+2
-			best := c
-			if l < len(cand) && h.before(int(cand[l]), int(cand[best])) {
-				best = l
-			}
-			if r < len(cand) && h.before(int(cand[r]), int(cand[best])) {
-				best = r
-			}
-			if best == c {
-				break
-			}
-			cand[c], cand[best] = cand[best], cand[c]
-			c = best
-		}
-		return top
-	}
-	push(0)
-	for len(cand) > 0 {
-		i := pop()
-		if !visit(int(h.nodes[i]), h.gains[i]) {
-			break
-		}
-		if l := 2*i + 1; int(l) < len(h.nodes) {
-			push(l)
-		}
-		if r := 2*i + 2; int(r) < len(h.nodes) {
-			push(r)
-		}
-	}
-	h.cand = cand[:0]
-}
-
-// TopK appends up to k best nodes to dst and returns it; used by PROP's
-// "refresh the top few contenders" update rule (§3.4).
-func (h *GainHeap) TopK(k int, dst []int) []int {
-	h.TopDown(func(u int, _ float64) bool {
-		if len(dst) >= k {
-			return false
-		}
-		dst = append(dst, u)
-		return true
-	})
-	return dst
+	h.cand = cand
+	return top
 }

@@ -104,6 +104,7 @@ type Contracted struct {
 	entries  []uint16 // case-A pre-swap slots, net-relative
 
 	maxNodeWeight int64 // max weight in the *base* graph (balance slack)
+	minNodeWeight int64 // min weight in the base graph (a floor at every level)
 	pool          *Pool
 }
 
@@ -152,9 +153,12 @@ func newContracted(h *Hypergraph, pool *Pool, inPlace bool) (*Contracted, error)
 	for u := range c.alive {
 		c.alive[u] = true
 	}
-	for _, w := range h.nodeWeight {
+	for i, w := range h.nodeWeight {
 		if w > c.maxNodeWeight {
 			c.maxNodeWeight = w
+		}
+		if i == 0 || w < c.minNodeWeight {
+			c.minNodeWeight = w
 		}
 	}
 	// Both stacks have hard bounds — one memento per dead node, one entry
@@ -207,6 +211,11 @@ func (c *Contracted) NodeWeight(u int) int64 { return c.weight[u] }
 // MaxBaseNodeWeight returns the largest node weight in the base graph,
 // the balance slack constant used by localized refinement.
 func (c *Contracted) MaxBaseNodeWeight() int64 { return c.maxNodeWeight }
+
+// MinBaseNodeWeight returns the smallest node weight in the base graph.
+// A node's weight at any level is a sum of base weights, so no node alive
+// now or revived later weighs less.
+func (c *Contracted) MinBaseNodeWeight() int64 { return c.minNodeWeight }
 
 // NetsOf returns the nets of node u. For an alive u this is the set of
 // nets holding u as an active pin, except that dead (size-1) nets handed

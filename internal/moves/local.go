@@ -43,6 +43,11 @@ type Localized struct {
 	Bal   partition.Balance
 	Slack int64
 
+	// minW is a floor on every node weight the refiner can meet: the fine
+	// graph's lightest node. selectBest uses it to skip a side none of
+	// whose nodes can move.
+	minW int64
+
 	side     []uint8 // caller-owned side assignment, len NumNodes
 	pinCount [2][]int32
 	sideW    [2]int64
@@ -72,12 +77,13 @@ type Localized struct {
 // NewLocalized builds the refiner state for graph g under the given side
 // assignment (taken by reference and maintained in place): per-net side
 // pin counts over active pins, side weights over alive nodes, and the
-// exact cut. alive reports node liveness (nil means all nodes are alive);
+// exact cut. slack and minW are the fine graph's largest and smallest node
+// weights. alive reports node liveness (nil means all nodes are alive);
 // dead nodes carry no weight and sit in no active pin, so they are simply
 // excluded from the side-weight sum. Runs in O(pins + nodes) — once per
 // hierarchy, not per level.
-func NewLocalized(g LocalGraph, bal partition.Balance, slack int64, side []uint8, alive func(u int) bool, pool *hypergraph.Pool) *Localized {
-	l := &Localized{G: g, Bal: bal, Slack: slack, side: side, pool: pool}
+func NewLocalized(g LocalGraph, bal partition.Balance, slack, minW int64, side []uint8, alive func(u int) bool, pool *hypergraph.Pool) *Localized {
+	l := &Localized{G: g, Bal: bal, Slack: slack, minW: minW, side: side, pool: pool}
 	m := g.NumNets()
 	l.pinCount[0] = pool.I32(m)
 	l.pinCount[1] = pool.I32(m)
@@ -282,9 +288,24 @@ func (l *Localized) RunPass() (float64, int, int) {
 
 // selectBest mirrors the engine's two-container selection: each side's
 // best feasible candidate, ties to side 0.
+//
+// A side is scanned only if a move off it can land inside the window:
+// every node weighs at least minW, so leaving side 0 takes side 0 to at
+// most sideW[0]−minW, and leaving side 1 takes it to at least
+// sideW[0]+minW. The gate tests only that one bound per side: a heavier
+// node can still bring side 0 back inside when it is overfull (moving off
+// side 0) or underfull (moving off side 1), so a two-sided test would
+// skip feasible moves on a contracted level.
 func (l *Localized) selectBest() (int, bool) {
-	u0, ok0 := heapContainer{l.heap[0]}.FirstFeasible(l.feas)
-	u1, ok1 := heapContainer{l.heap[1]}.FirstFeasible(l.feas)
+	lo, hi := l.Bal.Bounds(l.total)
+	var u0, u1 int
+	var ok0, ok1 bool
+	if l.sideW[0]-l.minW >= lo-l.Slack {
+		u0, ok0 = heapContainer{l.heap[0]}.FirstFeasible(l.feas)
+	}
+	if l.sideW[0]+l.minW <= hi+l.Slack {
+		u1, ok1 = heapContainer{l.heap[1]}.FirstFeasible(l.feas)
+	}
 	switch {
 	case ok0 && ok1:
 		if l.heap[0].Gain(u0) >= l.heap[1].Gain(u1) {

@@ -122,7 +122,7 @@ func (r *hierarchy) uncoarsen(ctx context.Context) error {
 // localized returns a boundary-localized refiner over the view, sharing
 // the hierarchy's side assignment.
 func (r *hierarchy) localized() *moves.Localized {
-	l := moves.NewLocalized(r.c, r.cfg.Balance, r.c.MaxBaseNodeWeight(), r.sides, r.c.Alive, r.pool)
+	l := moves.NewLocalized(r.c, r.cfg.Balance, r.c.MaxBaseNodeWeight(), r.c.MinBaseNodeWeight(), r.sides, r.c.Alive, r.pool)
 	l.MaxActive = 8 * uncontractBatch
 	return l
 }

@@ -58,6 +58,9 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config) (Re
 	if cfg.K < 2 {
 		return Result{}, fmt.Errorf("multiway: K=%d, want ≥ 2", cfg.K)
 	}
+	if cfg.K > h.NumNodes() {
+		return Result{}, fmt.Errorf("multiway: K=%d exceeds the node count %d: every part needs a node", cfg.K, h.NumNodes())
+	}
 	if cfg.Cut == nil {
 		return Result{}, fmt.Errorf("multiway: nil bipartitioner")
 	}

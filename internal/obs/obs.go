@@ -26,7 +26,8 @@
 //	run_start    id?
 //	run_end      id?, dur_us, err?
 //	pass         algo, id?, pass, cut, gmax, moves, kept, locked,
-//	             dirty_nets, swept, refine_iters, sweep_wall_us, dur_us
+//	             dirty_nets, swept, refine_iters, sweep_wall_us,
+//	             refreshes, gain_evals, stamp_skips, dur_us
 //	move         pass, node, gain
 //	flow         id?, round, boundary, corridor, nets, flow,
 //	             cut_before, cut_after, adopted (0/1), dur_us
@@ -213,6 +214,10 @@ type Pass struct {
 
 	SweepWall time.Duration // wall-clock time of the refinement gain sweeps
 
+	Refreshes  int // in-pass gain refreshes requested after moves
+	GainEvals  int // gain evaluations: refine sweeps plus refreshes not skipped
+	StampSkips int // refreshes skipped because none of the node's nets changed
+
 	Dur time.Duration // wall-clock time of the whole pass
 }
 
@@ -353,6 +358,9 @@ func (t *Tracer) EmitPass(e Pass) {
 	b = appendInt(b, "swept", int64(e.SweptNodes))
 	b = appendInt(b, "refine_iters", int64(e.RefineIters))
 	b = appendInt(b, "sweep_wall_us", e.SweepWall.Microseconds())
+	b = appendInt(b, "refreshes", int64(e.Refreshes))
+	b = appendInt(b, "gain_evals", int64(e.GainEvals))
+	b = appendInt(b, "stamp_skips", int64(e.StampSkips))
 	b = appendInt(b, "dur_us", e.Dur.Microseconds())
 	t.close(b)
 	t.mu.Unlock()

@@ -33,7 +33,8 @@ func TestEventEncoding(t *testing.T) {
 	tr.EmitRunStart(RunStart{ID: "r1", Run: 0})
 	tr.EmitPass(Pass{Algo: "prop", ID: "r1", Run: 0, Pass: 1, Cut: 55.5, Gmax: 2.25,
 		Moves: 10, Kept: 7, Locked: 10, DirtyNets: 3, SweptNodes: 40, RefineIters: 2,
-		SweepWall: 3 * time.Microsecond, Dur: 1500 * time.Microsecond})
+		SweepWall: 3 * time.Microsecond, Refreshes: 90, GainEvals: 64, StampSkips: 66,
+		Dur: 1500 * time.Microsecond})
 	tr.EmitMove(Move{Run: 0, Pass: 1, Node: 17, Gain: -1.5})
 	tr.EmitRunEnd(RunEnd{ID: "r1", Run: 0, Dur: time.Millisecond, Err: "boom \"quoted\""})
 	if tr.Err() != nil {
@@ -61,7 +62,9 @@ func TestEventEncoding(t *testing.T) {
 	if p["ev"] != "pass" || p["algo"] != "prop" || p["cut"] != 55.5 || p["gmax"] != 2.25 ||
 		p["pass"] != float64(1) || p["moves"] != float64(10) || p["kept"] != float64(7) ||
 		p["dirty_nets"] != float64(3) || p["swept"] != float64(40) ||
-		p["sweep_wall_us"] != float64(3) || p["dur_us"] != float64(1500) {
+		p["sweep_wall_us"] != float64(3) || p["refreshes"] != float64(90) ||
+		p["gain_evals"] != float64(64) || p["stamp_skips"] != float64(66) ||
+		p["dur_us"] != float64(1500) {
 		t.Errorf("pass = %v", p)
 	}
 	if lines[2]["ev"] != "move" || lines[2]["node"] != float64(17) || lines[2]["gain"] != -1.5 {

@@ -40,6 +40,11 @@ type event struct {
 	Kept   int64   `json:"kept"`
 	Locked int64   `json:"locked"`
 
+	// pass (PROP's refresh effort)
+	Refreshes  int64 `json:"refreshes"`
+	GainEvals  int64 `json:"gain_evals"`
+	StampSkips int64 `json:"stamp_skips"`
+
 	// flow
 	Adopted   int     `json:"adopted"`
 	CutBefore float64 `json:"cut_before"`
@@ -93,13 +98,19 @@ type PassPoint struct {
 	BestSoFar float64 `json:"best_so_far"`
 }
 
-// MoveStats aggregates the pass events' move accounting.
+// MoveStats aggregates the pass events' move accounting and PROP's gain
+// effort: refreshes requested after moves, gain evaluations (refine sweeps
+// plus refreshes computed), and refreshes the change stamps skipped.
 type MoveStats struct {
 	Passes        int     `json:"passes"`
 	Moves         int64   `json:"moves"`
 	Kept          int64   `json:"kept"`
 	Locked        int64   `json:"locked"`
 	AcceptRatePct float64 `json:"accept_rate_pct"` // kept / moves
+	Refreshes     int64   `json:"refreshes,omitempty"`
+	GainEvals     int64   `json:"gain_evals,omitempty"`
+	StampSkips    int64   `json:"stamp_skips,omitempty"`
+	SkipRatePct   float64 `json:"skip_rate_pct,omitempty"` // stamp_skips / refreshes
 }
 
 // FlowStats aggregates the flow polisher's round events.
@@ -208,6 +219,9 @@ func Read(r io.Reader) (*RunReport, error) {
 			rep.Moves.Moves += e.Moves
 			rep.Moves.Kept += e.Kept
 			rep.Moves.Locked += e.Locked
+			rep.Moves.Refreshes += e.Refreshes
+			rep.Moves.GainEvals += e.GainEvals
+			rep.Moves.StampSkips += e.StampSkips
 			pa := passes[e.Pass]
 			if pa == nil {
 				pa = &passAgg{best: e.Cut}
@@ -259,6 +273,9 @@ func Read(r io.Reader) (*RunReport, error) {
 
 	if rep.Moves.Moves > 0 {
 		rep.Moves.AcceptRatePct = 100 * float64(rep.Moves.Kept) / float64(rep.Moves.Moves)
+	}
+	if rep.Moves.Refreshes > 0 {
+		rep.Moves.SkipRatePct = 100 * float64(rep.Moves.StampSkips) / float64(rep.Moves.Refreshes)
 	}
 	if f := rep.Flow; f != nil && f.Rounds > 0 {
 		f.AdoptionRatePct = 100 * float64(f.Adopted) / float64(f.Rounds)
@@ -386,6 +403,10 @@ func WriteText(w io.Writer, rep *RunReport, topN int) error {
 	if rep.Moves.Passes > 0 {
 		fmt.Fprintf(bw, "\nmoves: %d passes, %d proposed, %d kept (%.1f%% accept), %d locked\n",
 			rep.Moves.Passes, rep.Moves.Moves, rep.Moves.Kept, rep.Moves.AcceptRatePct, rep.Moves.Locked)
+		if rep.Moves.Refreshes > 0 {
+			fmt.Fprintf(bw, "gain effort: %d evaluations, %d refreshes, %d skipped by change stamps (%.1f%%)\n",
+				rep.Moves.GainEvals, rep.Moves.Refreshes, rep.Moves.StampSkips, rep.Moves.SkipRatePct)
+		}
 	}
 	if f := rep.Flow; f != nil {
 		fmt.Fprintf(bw, "flow: %d rounds, %d adopted (%.1f%%), cut improvement %g\n",

@@ -17,8 +17,8 @@ const goldenTrace = `{"ts_us":0,"ev":"run_start","run":0,"id":"g"}
 {"ts_us":81,"ev":"phase","run":0,"name":"coarsen","depth":1,"level":1,"wall_us":30}
 {"ts_us":82,"ev":"phase_start","run":0,"name":"initial","depth":1,"level":0}
 {"ts_us":100,"ev":"phase_start","run":0,"name":"prop","depth":2,"level":0}
-{"ts_us":150,"ev":"pass","run":0,"algo":"prop","pass":0,"cut":600,"gmax":4,"moves":100,"kept":60,"locked":100,"dur_us":40}
-{"ts_us":190,"ev":"pass","run":0,"algo":"prop","pass":1,"cut":520,"gmax":2,"moves":80,"kept":30,"locked":80,"dur_us":35}
+{"ts_us":150,"ev":"pass","run":0,"algo":"prop","pass":0,"cut":600,"gmax":4,"moves":100,"kept":60,"locked":100,"refreshes":300,"gain_evals":900,"stamp_skips":210,"dur_us":40}
+{"ts_us":190,"ev":"pass","run":0,"algo":"prop","pass":1,"cut":520,"gmax":2,"moves":80,"kept":30,"locked":80,"refreshes":100,"gain_evals":700,"stamp_skips":90,"dur_us":35}
 {"ts_us":200,"ev":"phase","run":0,"name":"prop","depth":2,"level":0,"wall_us":100}
 {"ts_us":201,"ev":"phase","run":0,"name":"initial","depth":1,"level":0,"wall_us":119}
 {"ts_us":400,"ev":"phase","run":0,"name":"multilevel","depth":0,"level":0,"wall_us":399}
@@ -116,6 +116,10 @@ func TestMoveRoundFlowRates(t *testing.T) {
 	if want := 100 * 140.0 / 340.0; math.Abs(m.AcceptRatePct-want) > 1e-9 {
 		t.Errorf("accept rate = %g, want %g", m.AcceptRatePct, want)
 	}
+	// Only run 0's passes carry PROP's refresh counters.
+	if m.Refreshes != 400 || m.GainEvals != 1600 || m.StampSkips != 300 || m.SkipRatePct != 75 {
+		t.Errorf("gain effort = %+v", m)
+	}
 	f := rep.Flow
 	if f == nil || f.Rounds != 2 || f.Adopted != 1 || f.AdoptionRatePct != 50 || f.CutImprovement != 10 {
 		t.Fatalf("flow = %+v", f)
@@ -150,6 +154,7 @@ func TestWriteTextAndJSON(t *testing.T) {
 		"multilevel", "coarsen", "top 4 phases",
 		"convergence", "best-so-far",
 		"moves: 4 passes",
+		"gain effort: 1600 evaluations, 400 refreshes, 300 skipped by change stamps (75.0%)",
 		"flow: 2 rounds, 1 adopted (50.0%)",
 	} {
 		if !strings.Contains(text, want) {

@@ -186,6 +186,15 @@ type Result struct {
 	Elapsed time.Duration
 }
 
+// ValidateBalance reports whether R1 and R2 form a window the solvers
+// accept, by the rule every entry point applies: unset (50-50%), or a
+// valid symmetric bisection window. A server can reject a bad window
+// before it reads a netlist.
+func (o Options) ValidateBalance() error {
+	_, err := o.balance()
+	return err
+}
+
 // balance is the one place a user's window enters: it must be a valid,
 // symmetric bisection window (r1 = 1 − r2).
 func (o Options) balance() (partition.Balance, error) {

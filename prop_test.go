@@ -282,6 +282,22 @@ func TestKWayAnyK(t *testing.T) {
 	}
 }
 
+// TestKWayKAboveNodeCount: a k above the node count cannot give every
+// part a node. Every algorithm rejects it before any bisection runs, with
+// an error that names k and the node count.
+func TestKWayKAboveNodeCount(t *testing.T) {
+	n, err := prop.Generate(prop.GenParams{Nodes: 120, Nets: 140, Pins: 480, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range prop.Algorithms() {
+		_, err := prop.KWay(n, 121, prop.Options{Algorithm: algo, Runs: 1, Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "K=121") || !strings.Contains(err.Error(), "120") {
+			t.Errorf("%s: k=121 on 120 nodes: err %v, want one naming K=121 and 120 nodes", algo, err)
+		}
+	}
+}
+
 // checkKWayWindows checks every bisection of a recursive k-way result. In
 // each k-part subtree, parts [base, base+⌈k/2⌉) are side 0, whose weight
 // must lie in (r1, r2) scaled by 2·⌈k/2⌉/k and widened by one cell. Node

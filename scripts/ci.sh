@@ -137,13 +137,15 @@ if ! cmp -s "$tracedir/cut.txt" "$tracedir/cut_untraced.txt"; then
 fi
 
 echo "== fuzz smoke =="
-# Short native-fuzz runs over the netlist readers and the gain heap:
-# enough to replay the corpus and shake the obvious parser panics and
-# heap-order bugs without stalling CI.
+# Short native-fuzz runs over the netlist readers, the gain heap and
+# PROP's change stamps: enough to replay the corpus and shake the obvious
+# parser panics, heap-order bugs and unstamped gain writes without
+# stalling CI.
 for target in FuzzReadHGR FuzzReadJSON FuzzReadNetAre; do
 	go test -run=NONE -fuzz="^${target}\$" -fuzztime=10s ./internal/hgio
 done
 go test -run=NONE -fuzz='^FuzzGainHeap$' -fuzztime=10s ./internal/ds
+go test -run=NONE -fuzz='^FuzzCalculatorStamps$' -fuzztime=10s ./internal/core
 
 echo "== warm-start smoke =="
 # Incremental golden check: partition, perturb with a delta, repartition
