@@ -192,6 +192,7 @@ func TestPartitionEndpointErrors(t *testing.T) {
 		{"k above the node count", "/v1/partition?k=121", hgr, http.StatusUnprocessableEntity},
 		// A bad window is a bad query value, like every other one.
 		{"asymmetric balance", "/v1/partition?r1=0.3&r2=0.6", hgr, http.StatusBadRequest},
+		{"infinite net cost", "/v1/partition", "2 4 1\n1 1 2\ninf 3 4\n", http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp := postHGR(t, ts.URL+c.url, c.body)

@@ -21,20 +21,14 @@ import (
 // costs O(Σ |e|) over its nets and no per-node map churn.
 type rater struct {
 	c     *hypergraph.Contracted
-	pool  *hypergraph.Pool
 	stamp []int32
 	acc   []float64
 	cand  []int32
 	scan  int32
 }
 
-func newRater(c *hypergraph.Contracted, pool *hypergraph.Pool) rater {
-	return rater{c: c, pool: pool, stamp: pool.I32(c.NumNodes()), acc: pool.F64(c.NumNodes())}
-}
-
-func (r *rater) release() {
-	r.pool.PutI32(r.stamp)
-	r.pool.PutF64(r.acc)
+func newRater(c *hypergraph.Contracted) rater {
+	return rater{c: c, stamp: make([]int32, c.NumNodes()), acc: make([]float64, c.NumNodes())}
 }
 
 // best returns u's highest-rated partner over the nets in nets (u's net
@@ -87,17 +81,13 @@ func (r *rater) best(u int32, nets []int32, matched []bool, sides []uint8) int32
 // builds, bit for bit — CoarseGraph numbers alive nodes by ascending ID,
 // which is that renumbering once the smaller ID survives — and the
 // V-cycle goldens pin it.
-func CoarsenRounds(c *hypergraph.Contracted, target int, seed int64, pool *hypergraph.Pool, tr *obs.Tracer, run int) ([]int, error) {
+func CoarsenRounds(c *hypergraph.Contracted, target int, seed int64, tr *obs.Tracer, run int) ([]int, error) {
 	if target < 2 {
 		return nil, fmt.Errorf("cluster: target %d, want ≥ 2", target)
 	}
 	n := c.NumNodes()
-	r := newRater(c, pool)
-	matched := pool.Bool(n)
-	defer func() {
-		r.release()
-		pool.PutBool(matched)
-	}()
+	r := newRater(c)
+	matched := make([]bool, n)
 
 	rng := rand.New(rand.NewSource(seed))
 	var bounds []int

@@ -14,12 +14,11 @@ import (
 // ascending order.
 func TestCoarsenShrinksAndConserves(t *testing.T) {
 	h := gen.MustGenerate(gen.Params{Nodes: 400, Nets: 440, Pins: 1500, Seed: 51})
-	c, err := hypergraph.NewContracted(h, nil)
+	c, err := hypergraph.NewContracted(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Release()
-	bounds, err := CoarsenRounds(c, 50, 3, nil, nil, 0)
+	bounds, err := CoarsenRounds(c, 50, 3, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,18 +64,17 @@ func TestCoarseCutProjectsExactly(t *testing.T) {
 	// Checking a level unwinds the view to depth 0, so each level gets a
 	// fresh copy of the (deterministic) hierarchy.
 	coarsen := func() (*hypergraph.Contracted, []int) {
-		c, err := hypergraph.NewContracted(h, nil)
+		c, err := hypergraph.NewContracted(h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bounds, err := CoarsenRounds(c, 40, 4, nil, nil, 0)
+		bounds, err := CoarsenRounds(c, 40, 4, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c, bounds
 	}
-	c, bounds := coarsen()
-	c.Release()
+	_, bounds := coarsen()
 	if len(bounds) == 0 {
 		t.Fatal("no coarsening levels applied")
 	}
@@ -98,7 +96,6 @@ func TestCoarseCutProjectsExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 		Unwind(c, 0, sides)
-		c.Release()
 		fb, err := partition.NewBisection(h, sides)
 		if err != nil {
 			t.Fatal(err)

@@ -26,25 +26,17 @@ import (
 // partition of the fine graph survives coarsening exactly (every cluster
 // lies within one side, cut and side weights unchanged). This is the
 // recoarsening step of iterated n-level cycles.
-//
-// All scratch is taken from pool and returned before the function exits,
-// so successive hierarchies reuse one generation of buffers.
-func CoarsenInPlace(c *hypergraph.Contracted, target int, seed int64, sides []uint8, pool *hypergraph.Pool, tr *obs.Tracer, run int) error {
+func CoarsenInPlace(c *hypergraph.Contracted, target int, seed int64, sides []uint8, tr *obs.Tracer, run int) error {
 	if target < 2 {
 		return fmt.Errorf("cluster: target %d, want ≥ 2", target)
 	}
 	n := c.NumNodes()
-	perm := pool.I32(n)
+	perm := make([]int32, n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	r := newRater(c, pool)
-	matched := pool.Bool(n)
-	defer func() {
-		pool.PutI32(perm)
-		r.release()
-		pool.PutBool(matched)
-	}()
+	r := newRater(c)
+	matched := make([]bool, n)
 
 	var total int64
 	for u := 0; u < n; u++ {

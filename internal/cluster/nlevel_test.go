@@ -10,12 +10,11 @@ import (
 
 func TestCoarsenInPlaceReachesTarget(t *testing.T) {
 	h := gen.MustGenerate(gen.Params{Nodes: 600, Nets: 660, Pins: 2300, Seed: 41})
-	pool := hypergraph.NewPool()
-	c, err := hypergraph.NewContracted(h, pool)
+	c, err := hypergraph.NewContracted(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CoarsenInPlace(c, 40, 7, nil, pool, nil, 0); err != nil {
+	if err := CoarsenInPlace(c, 40, 7, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if c.AliveCount() > 120 {
@@ -50,17 +49,16 @@ func TestCoarsenInPlaceReachesTarget(t *testing.T) {
 			}
 		}
 	}
-	c.Release()
 }
 
 func TestCoarsenInPlaceDeterministic(t *testing.T) {
 	h := gen.MustGenerate(gen.Params{Nodes: 300, Nets: 330, Pins: 1100, Seed: 3})
 	run := func() []hypergraph.Memento {
-		c, err := hypergraph.NewContracted(h, nil)
+		c, err := hypergraph.NewContracted(h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := CoarsenInPlace(c, 30, 11, nil, nil, nil, 0); err != nil {
+		if err := CoarsenInPlace(c, 30, 11, nil, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		var ms []hypergraph.Memento
@@ -82,11 +80,11 @@ func TestCoarsenInPlaceDeterministic(t *testing.T) {
 	}
 	// A different seed must give a different hierarchy (sanity that the
 	// seed actually reaches the shuffle).
-	c, err := hypergraph.NewContracted(h, nil)
+	c, err := hypergraph.NewContracted(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CoarsenInPlace(c, 30, 12, nil, nil, nil, 0); err != nil {
+	if err := CoarsenInPlace(c, 30, 12, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	diff := false
@@ -114,12 +112,12 @@ func TestCoarsenInPlaceWeightCap(t *testing.T) {
 		}
 	}
 	h := b.MustBuild()
-	c, err := hypergraph.NewContracted(h, nil)
+	c, err := hypergraph.NewContracted(h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const target = 10
-	if err := CoarsenInPlace(c, target, 1, nil, nil, nil, 0); err != nil {
+	if err := CoarsenInPlace(c, target, 1, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	capW := 4 * h.TotalNodeWeight() / target

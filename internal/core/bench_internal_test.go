@@ -97,6 +97,6 @@ func BenchmarkPassFlat(b *testing.B) {
 		}
 		e := newPassEngine(bis, cfg)
 		b.StartTimer()
-		e.runPass()
+		e.loop().RunPass()
 	}
 }

@@ -78,15 +78,12 @@ type passEngine struct {
 	ps passStats
 
 	// Dirty-net refinement state (§3.4 economics applied to the refine
-	// fixpoint): after the first full sweep of an iteration, only nets with
-	// a changed pin probability get their side products rebuilt, and only
-	// pins of those nets get their gains re-swept next iteration. Both the
-	// rebuilds and the skipped work are exact, so the refinement result is
-	// bit-identical to full per-iteration Rebuild sweeps.
-	dirtyNet   []bool
-	dirtyNode  []bool
-	dirtyNets  []int32
-	dirtyCount int
+	// fixpoint): after the first full sweep, only nets with a changed pin
+	// probability get their side products rebuilt, once each. RebuildNet
+	// stamps them, so the next sweep re-computes exactly the gains of their
+	// pins (see refine).
+	dirtyNet  []bool
+	dirtyNets []int32
 }
 
 func newPassEngine(b *partition.Bisection, cfg Config) *passEngine {
@@ -99,12 +96,11 @@ func newPassEngine(b *partition.Bisection, cfg Config) *passEngine {
 		gainAt:     make([]uint64, n),
 		nbrScratch: make([]bool, n),
 		dirtyNet:   make([]bool, b.H.NumNets()),
-		dirtyNode:  make([]bool, n),
 	}
 }
 
 // loop lazily binds the engine to its shared pass loop (tests construct
-// engines directly and call runPass).
+// engines directly and call loop().RunPass).
 func (e *passEngine) loop() *moves.Loop {
 	if e.l == nil {
 		e.l = &moves.Loop{
@@ -113,32 +109,6 @@ func (e *passEngine) loop() *moves.Loop {
 		}
 	}
 	return e.l
-}
-
-// emitPass sends a pass trace event through the same decoration path the
-// shared driver uses. The nil-tracer fast path is a single predicated
-// branch — no closures, no allocations (pinned by
-// TestEmitPassNilTracerZeroAllocs). Production passes are emitted by
-// moves.Run (driver fields) + FillPass (PROP counters); this helper keeps
-// the combined construction benchmarkable in isolation.
-func (e *passEngine) emitPass(pass int, cut, gmax float64, dur time.Duration) {
-	tr := e.cfg.Tracer
-	if !tr.PassEnabled() {
-		return
-	}
-	ev := obs.Pass{
-		Algo:   "prop",
-		Run:    e.cfg.TraceRun,
-		Pass:   pass,
-		Cut:    cut,
-		Gmax:   gmax,
-		Moves:  e.ps.moves,
-		Kept:   e.ps.kept,
-		Locked: e.ps.moves, // every virtual move locks exactly one node
-		Dur:    dur,
-	}
-	e.FillPass(&ev)
-	tr.EmitPass(ev)
 }
 
 // FillPass implements moves.PassFiller: decorate the driver's pass event
@@ -169,28 +139,21 @@ func (e *passEngine) seedProbabilities() {
 	e.calc.Rebuild()
 }
 
-// sweepGains recomputes e.gain[u] = calc.Gain(u) for every node (only ==
-// nil) or for the marked subset, recording the clock each gain reflects.
-// The sweep wall clock is recorded in e.ps — two time.Now calls per sweep,
-// feeding the pass event's sweep_wall_us.
-func (e *passEngine) sweepGains(only []bool) {
+// sweepGains recomputes e.gain[u] = calc.Gain(u), recording the clock
+// each gain reflects: for every node when all is set, otherwise for the
+// nodes with a net stamped since their gain was computed. The sweep wall
+// clock is recorded in e.ps — two time.Now calls per sweep, feeding the
+// pass event's sweep_wall_us.
+func (e *passEngine) sweepGains(all bool) {
 	n := e.b.H.NumNodes()
 	start := time.Now()
 	calc := e.calc
 	at := calc.Clock()
-	if only == nil {
-		e.ps.swept += n
-		for u := 0; u < n; u++ {
+	for u := 0; u < n; u++ {
+		if all || calc.Changed(u, e.gainAt[u]) {
 			e.gain[u] = calc.Gain(u)
 			e.gainAt[u] = at
-		}
-	} else {
-		for u := 0; u < n; u++ {
-			if only[u] {
-				e.gain[u] = calc.Gain(u)
-				e.gainAt[u] = at
-				e.ps.swept++
-			}
+			e.ps.swept++
 		}
 	}
 	e.ps.sweepWallNS += time.Since(start).Nanoseconds()
@@ -201,37 +164,35 @@ func (e *passEngine) sweepGains(only []bool) {
 // last iteration e.gain holds the selection gains and calc.P the matching
 // probabilities.
 //
-// The first iteration sweeps every node; subsequent iterations sweep only
-// nodes on nets whose probabilities actually changed (their gains are the
-// only ones that can differ), and each iteration rebuilds only the dirty
-// nets' side products instead of a full O(m) Rebuild. Both reductions are
-// exact, so refine produces bit-identical gains and probabilities to the
-// full-resweep/full-rebuild formulation (TestRefineMatchesReference).
+// The first iteration sweeps every node. Each iteration rebuilds only the
+// dirty nets' side products instead of a full O(m) Rebuild, and the next
+// one re-sweeps only the pins of those nets: RebuildNet stamps each net it
+// rebuilds, and no net is dead during refine (ResetLocks has just run), so
+// calc.Changed picks out exactly those pins — a node's gain depends only
+// on its own probability and its nets' products, and its own P change
+// dirties its nets. Both reductions are exact, so refine produces
+// bit-identical gains and probabilities to the full-resweep/full-rebuild
+// formulation (TestRefineMatchesReference).
 func (e *passEngine) refine() {
 	if e.cfg.Refinements == 0 {
 		// Degenerate configuration: selection still needs gains.
-		e.sweepGains(nil)
+		e.sweepGains(true)
 		return
 	}
 	for it := 0; it < e.cfg.Refinements; it++ {
-		if it == 0 {
-			e.sweepGains(nil)
-		} else {
-			if e.dirtyCount == 0 {
-				break // fixpoint: no net product changed, gains are final
-			}
-			e.sweepGains(e.dirtyNode)
+		if it > 0 && len(e.dirtyNets) == 0 {
+			break // fixpoint: no net product changed, gains are final
 		}
+		e.sweepGains(it == 0)
 		e.ps.refineIters++
-		e.applyProbabilities(it == e.cfg.Refinements-1)
+		e.applyProbabilities()
 	}
 }
 
 // applyProbabilities maps the freshly swept gains through the probability
-// function, writes the changed probabilities, rebuilds the side products
-// of the affected (dirty) nets exactly, and — unless this is the last
-// refinement iteration — marks the nodes whose gains must be re-swept.
-func (e *passEngine) applyProbabilities(last bool) {
+// function, writes the changed probabilities and rebuilds the side
+// products of the affected (dirty) nets exactly.
+func (e *passEngine) applyProbabilities() {
 	h := e.b.H
 	calc := e.calc
 	// Clear the previous iteration's dirty-net marks.
@@ -259,29 +220,7 @@ func (e *passEngine) applyProbabilities(last bool) {
 	for _, en := range e.dirtyNets {
 		calc.RebuildNet(int(en))
 	}
-	// Next sweep set: pins of dirty nets (a node's gain depends only on its
-	// own probability and its nets' products; its own P change dirties its
-	// nets, so the pin set covers both).
-	for u := range e.dirtyNode {
-		e.dirtyNode[u] = false
-	}
-	e.dirtyCount = len(e.dirtyNets)
 	e.ps.dirtyNets += len(e.dirtyNets)
-	if last {
-		return
-	}
-	for _, en := range e.dirtyNets {
-		for _, v := range h.Net(int(en)) {
-			e.dirtyNode[v] = true
-		}
-	}
-}
-
-// runPass executes one pass (test/benchmark hook; production passes run
-// through moves.Run).
-func (e *passEngine) runPass() (float64, int) {
-	gmax, steps, _ := e.loop().RunPass()
-	return gmax, steps
 }
 
 // Algo implements moves.NodePolicy.

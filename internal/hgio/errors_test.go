@@ -38,6 +38,24 @@ func TestHGRMalformed(t *testing.T) {
 	}
 }
 
+// TestHGRNonFiniteCost: strconv.ParseFloat accepts "inf" and "nan", so
+// the reader must still refuse them as net costs, naming the net and the
+// value.
+func TestHGRNonFiniteCost(t *testing.T) {
+	for _, cost := range []string{"inf", "+Inf", "nan", "-inf"} {
+		t.Run(cost, func(t *testing.T) {
+			in := "2 4 1\n1 1 2\n" + cost + " 3 4\n"
+			h, err := ReadHGR(strings.NewReader(in))
+			if err == nil {
+				t.Fatalf("accepted cost %q as %d nets", cost, h.NumNets())
+			}
+			if msg := err.Error(); !strings.Contains(msg, `"n1"`) || !strings.Contains(strings.ToLower(msg), strings.TrimPrefix(strings.ToLower(cost), "+")) {
+				t.Errorf("error %q names neither net n1 nor cost %s", msg, cost)
+			}
+		})
+	}
+}
+
 func TestJSONMalformed(t *testing.T) {
 	cases := []struct{ name, in string }{
 		{"empty", ""},

@@ -85,9 +85,9 @@ func (b *Builder) EnsureNodes(n int) {
 // AddNet appends a net with the given name, cost and pins. Duplicate pins
 // are merged (counted in DuplicatePins) unless RejectDuplicatePins was
 // called, in which case they are an error; a net left with fewer than two
-// pins is dropped (counted in DroppedNets). cost must be > 0. Referencing a
-// node ID beyond the current node count implicitly creates the missing
-// nodes.
+// pins is dropped (counted in DroppedNets). cost must be finite and > 0.
+// Referencing a node ID beyond the current node count implicitly creates
+// the missing nodes.
 func (b *Builder) AddNet(name string, cost float64, pins ...int) error {
 	return b.addNet(name, cost, pins, nil)
 }
@@ -99,8 +99,8 @@ func (b *Builder) AddNetInt32(name string, cost float64, pins []int32) error {
 }
 
 func (b *Builder) addNet(name string, cost float64, pins []int, pins32 []int32) error {
-	if cost <= 0 {
-		return fmt.Errorf("hypergraph: net %q cost %g must be > 0", name, cost)
+	if err := checkNetCost(len(b.netCost), name, cost); err != nil {
+		return err
 	}
 	// Stage the pins at the arena tail; every error path truncates back.
 	start := len(b.flatPins)

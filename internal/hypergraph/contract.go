@@ -89,8 +89,8 @@ type Contracted struct {
 	h       *Hypergraph
 	inPlace bool
 
-	pins    []int32 // h.pinArr or a pooled copy
-	weight  []int64 // h.nodeWeight or a pooled copy
+	pins    []int32 // h.pinArr or a copy
+	weight  []int64 // h.nodeWeight or a copy
 	netSize []int32 // active pin count per net
 	spans   []span  // per-node net-list view
 	alive   []bool
@@ -105,13 +105,12 @@ type Contracted struct {
 
 	maxNodeWeight int64 // max weight in the *base* graph (balance slack)
 	minNodeWeight int64 // min weight in the base graph (a floor at every level)
-	pool          *Pool
 }
 
 // NewContracted builds a contraction view over h using copied pin/weight
-// arenas, leaving h untouched. pool may be nil.
-func NewContracted(h *Hypergraph, pool *Pool) (*Contracted, error) {
-	return newContracted(h, pool, false)
+// arenas, leaving h untouched.
+func NewContracted(h *Hypergraph) (*Contracted, error) {
+	return newContracted(h, false)
 }
 
 // NewContractedInPlace builds a contraction view that mutates h's own pin
@@ -119,11 +118,11 @@ func NewContracted(h *Hypergraph, pool *Pool) (*Contracted, error) {
 // restores h exactly; until then h must not be read by anyone else, and
 // abandoning the view mid-hierarchy leaves h corrupted. This is the
 // million-node mode: it avoids a pins-sized and a weights-sized copy.
-func NewContractedInPlace(h *Hypergraph, pool *Pool) (*Contracted, error) {
-	return newContracted(h, pool, true)
+func NewContractedInPlace(h *Hypergraph) (*Contracted, error) {
+	return newContracted(h, true)
 }
 
-func newContracted(h *Hypergraph, pool *Pool, inPlace bool) (*Contracted, error) {
+func newContracted(h *Hypergraph, inPlace bool) (*Contracted, error) {
 	n, m := h.NumNodes(), h.NumNets()
 	for e := 0; e < m; e++ {
 		if h.NetSize(e) > maxContractNetSize {
@@ -131,25 +130,27 @@ func newContracted(h *Hypergraph, pool *Pool, inPlace bool) (*Contracted, error)
 				e, h.NetSize(e), maxContractNetSize)
 		}
 	}
-	c := &Contracted{h: h, inPlace: inPlace, nAlive: n, pool: pool}
+	c := &Contracted{h: h, inPlace: inPlace, nAlive: n}
 	if inPlace {
 		c.pins = h.pinArr
 		c.weight = h.nodeWeight
 	} else {
-		c.pins = pool.I32(len(h.pinArr))
+		// make + copy, not slices.Clone: ArenaBytes reads cap(), which
+		// Clone would round up to an allocation size class.
+		c.pins = make([]int32, len(h.pinArr))
 		copy(c.pins, h.pinArr)
-		c.weight = pool.I64(len(h.nodeWeight))
+		c.weight = make([]int64, len(h.nodeWeight))
 		copy(c.weight, h.nodeWeight)
 	}
-	c.netSize = pool.I32(m)
+	c.netSize = make([]int32, m)
 	for e := 0; e < m; e++ {
 		c.netSize[e] = int32(h.NetSize(e))
 	}
-	c.spans = pool.spans(n)
+	c.spans = make([]span, n)
 	for u := 0; u < n; u++ {
 		c.spans[u] = span{off: h.nodeOff[u], len: h.nodeOff[u+1] - h.nodeOff[u]}
 	}
-	c.alive = pool.Bool(n)
+	c.alive = make([]bool, n)
 	for u := range c.alive {
 		c.alive[u] = true
 	}
@@ -165,10 +166,9 @@ func newContracted(h *Hypergraph, pool *Pool, inPlace bool) (*Contracted, error)
 	// per removed pin — so reserving them up front turns what would be
 	// append-doubling (a transient extra copy of a multi-megabyte array,
 	// visible in peak RSS) into a single exact allocation.
-	c.mementos = slices.Grow(pool.mementos(0), n)
-	c.entries = slices.Grow(pool.U16(0), len(h.pinArr))
-	c.overflow = pool.I32(0)
-	c.regClass = pool.U8(n)
+	c.mementos = slices.Grow([]Memento(nil), n)
+	c.entries = slices.Grow([]uint16(nil), len(h.pinArr))
+	c.regClass = make([]uint8, n)
 	return c, nil
 }
 
@@ -425,8 +425,7 @@ func (c *Contracted) Uncontract(caseA []int32) (Memento, []int32) {
 // base IDs in compact order (coarse ID i ↔ base ID alive[i]).
 func (c *Contracted) CoarseGraph() (*Hypergraph, []int32, error) {
 	aliveIDs := make([]int32, 0, c.nAlive)
-	compact := c.pool.I32(len(c.spans))
-	defer c.pool.PutI32(compact)
+	compact := make([]int32, len(c.spans))
 	for u := range c.spans {
 		if c.alive[u] {
 			compact[u] = int32(len(aliveIDs))
@@ -483,21 +482,4 @@ func (c *Contracted) ArenaBytes() int64 {
 	}
 	b += int64(cap(c.mementos))*8 + int64(cap(c.entries))*2
 	return b
-}
-
-// Release returns every pooled buffer. The view is unusable afterwards.
-// In in-place mode the base graph is only valid if Depth() is zero.
-func (c *Contracted) Release() {
-	if !c.inPlace {
-		c.pool.PutI32(c.pins)
-		c.pool.PutI64(c.weight)
-	}
-	c.pool.PutI32(c.netSize)
-	c.pool.putSpans(c.spans)
-	c.pool.PutBool(c.alive)
-	c.pool.PutI32(c.overflow)
-	c.pool.PutU8(c.regClass)
-	c.pool.putMementos(c.mementos)
-	c.pool.PutU16(c.entries)
-	*c = Contracted{}
 }

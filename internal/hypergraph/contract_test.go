@@ -181,9 +181,9 @@ func driveInterleaving(t *testing.T, h *Hypergraph, inPlace bool, ops []byte) {
 	var c *Contracted
 	var err error
 	if inPlace {
-		c, err = NewContractedInPlace(h, NewPool())
+		c, err = NewContractedInPlace(h)
 	} else {
-		c, err = NewContracted(h, nil)
+		c, err = NewContracted(h)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +324,7 @@ func TestContractedDeepChain(t *testing.T) {
 	}
 	h := b.MustBuild()
 	orig := h.Clone()
-	c, err := NewContractedInPlace(h, NewPool())
+	c, err := NewContractedInPlace(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestCoarseGraph(t *testing.T) {
 		}
 	}
 	h := b.MustBuild()
-	c, err := NewContracted(h, nil)
+	c, err := NewContracted(h)
 	if err != nil {
 		t.Fatal(err)
 	}

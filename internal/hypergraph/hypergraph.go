@@ -143,9 +143,9 @@ func (h *Hypergraph) Neighbors(u int, dst []int32, scratch []bool) []int32 {
 }
 
 // Validate checks structural invariants: dual adjacency consistency, sorted
-// duplicate-free pin lists, positive net costs and node weights, monotone
-// CSR offsets and pin count bookkeeping. It returns the first violation
-// found.
+// duplicate-free pin lists, finite positive net costs, positive node
+// weights, monotone CSR offsets and pin count bookkeeping. It returns the
+// first violation found.
 func (h *Hypergraph) Validate() error {
 	if len(h.netOff) != h.NumNets()+1 || len(h.nodeOff) != h.NumNodes()+1 {
 		return fmt.Errorf("hypergraph: offset arrays sized (%d,%d) for %d nets, %d nodes",
@@ -166,8 +166,8 @@ func (h *Hypergraph) Validate() error {
 		if len(ps) < 2 {
 			return fmt.Errorf("hypergraph: net %d has %d pins, want ≥ 2", e, len(ps))
 		}
-		if h.netCost[e] <= 0 {
-			return fmt.Errorf("hypergraph: net %d has non-positive cost %g", e, h.netCost[e])
+		if err := checkNetCost(e, h.NetName(e), h.netCost[e]); err != nil {
+			return err
 		}
 		prev := int32(-1)
 		for _, u := range ps {
@@ -232,8 +232,8 @@ func (h *Hypergraph) WithNetCosts(costs []float64) (*Hypergraph, error) {
 	}
 	unit := true
 	for e, c := range costs {
-		if c <= 0 {
-			return nil, fmt.Errorf("hypergraph: WithNetCosts net %d cost %g ≤ 0", e, c)
+		if err := checkNetCost(e, h.NetName(e), c); err != nil {
+			return nil, err
 		}
 		if c != 1 {
 			unit = false
@@ -243,6 +243,20 @@ func (h *Hypergraph) WithNetCosts(costs []float64) (*Hypergraph, error) {
 	c.netCost = append([]float64(nil), costs...)
 	c.unitCost = unit
 	return &c, nil
+}
+
+// checkNetCost requires a net cost that is finite and > 0. A plain
+// `cost <= 0` test lets NaN and +Inf through, and either one turns gains
+// and cuts into NaN (Inf − Inf in an incremental cut). The error names
+// net e by name when it has one.
+func checkNetCost(e int, name string, cost float64) error {
+	if cost > 0 && !math.IsInf(cost, 1) {
+		return nil
+	}
+	if name != "" {
+		return fmt.Errorf("hypergraph: net %q cost %g must be finite and > 0", name, cost)
+	}
+	return fmt.Errorf("hypergraph: net %d cost %g must be finite and > 0", e, cost)
 }
 
 // maxIndex is the densest ID the int32 arenas can address.

@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -201,6 +202,11 @@ func TestWithNetCosts(t *testing.T) {
 	}
 	if _, err := h.WithNetCosts([]float64{1, -2}); err == nil {
 		t.Error("accepted negative cost")
+	}
+	for _, c := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := h.WithNetCosts([]float64{c, 1}); err == nil {
+			t.Errorf("accepted cost %g", c)
+		}
 	}
 	u, err := h.WithNetCosts([]float64{1, 1})
 	if err != nil {

@@ -6,20 +6,12 @@ import (
 	"prop/internal/partition"
 )
 
-// LocalGraph is the adjacency view localized refinement runs on. Both
-// *hypergraph.Hypergraph and *hypergraph.Contracted satisfy it; on a
-// Contracted view Net returns the active pin prefix and NetSize the
-// active size, so the refiner sees each level of the n-level hierarchy
-// without any projection step.
-type LocalGraph interface {
-	NumNodes() int
-	NumNets() int
-	Net(e int) []int32
-	NetSize(e int) int
-	NetsOf(u int) []int32
-	NetCost(e int) float64
-	NodeWeight(u int) int64
-}
+// maxActive caps how many distinct nodes one episode may activate (seeds
+// plus expansion): 8× the n-level driver's batch of 64 pops. The cap keeps
+// a batch's work proportional to its seed set even when a move cascade
+// would otherwise pull in a whole region; at 32× the batch the episode
+// passes took 95% of the wall clock re-scanning their active sets.
+const maxActive = 512
 
 // Localized is the boundary-seeded FM refiner of the n-level path. Where
 // Loop fills its containers with every node of the graph, Localized is
@@ -27,23 +19,26 @@ type LocalGraph interface {
 // neighbors of nodes it actually moves — on a million-node hierarchy a
 // batch refines a few dozen nodes, not the graph.
 //
-// It owns its own incremental state (sides, per-net side pin counts, side
-// weights, cut) because it runs on views partition.Bisection cannot wrap,
-// but it reuses the shared pass protocol end to end: gain containers are
-// per-side ds.GainHeaps over one shared position index (memory follows the
-// active set, not the ID space) scanned by the heap container's
-// FirstFeasible, passes implement PassRunner so Run drives convergence and
-// trace emission, and the kept prefix comes from PassLog.BestPrefix with
-// RollbackWith undoing rejected moves. Feasibility uses the fine graph's
-// maximum node weight as constant slack, the same window the V-cycle
-// grants its per-level refiners; depth-0 callers tighten the final result
-// with a standard repair + full refine.
+// It runs on a hypergraph.Contracted view, whose Net returns the active
+// pin prefix and NetSize the active size, so it sees each level of the
+// n-level hierarchy without any projection step. It owns its own
+// incremental state (sides, per-net side pin counts, side weights, cut)
+// because partition.Bisection cannot wrap a view, but it reuses the shared
+// pass protocol end to end: gain containers are per-side ds.GainHeaps over
+// one shared position index (memory follows the active set, not the ID
+// space) scanned by the heap container's FirstFeasible, passes implement
+// PassRunner so Run drives convergence and trace emission, and the kept
+// prefix comes from PassLog.BestPrefix with RollbackWith undoing rejected
+// moves. Feasibility uses the base graph's maximum node weight as constant
+// slack, the same window the V-cycle grants its per-level refiners;
+// depth-0 callers tighten the final result with a standard repair + full
+// refine.
 type Localized struct {
-	G     LocalGraph
+	c     *hypergraph.Contracted
 	Bal   partition.Balance
 	Slack int64
 
-	// minW is a floor on every node weight the refiner can meet: the fine
+	// minW is a floor on every node weight the refiner can meet: the base
 	// graph's lightest node. selectBest uses it to skip a side none of
 	// whose nodes can move.
 	minW int64
@@ -65,65 +60,56 @@ type Localized struct {
 	active  []int32 // nodes eligible for this episode's containers
 	pending []int32 // seeds accumulated since the last Refine
 	log     PassLog
-	pool    *hypergraph.Pool
-
-	// MaxActive caps how many distinct nodes one episode may activate
-	// (seeds plus expansion); 0 means unlimited. The cap keeps a batch's
-	// work proportional to its seed set even when a move cascade would
-	// otherwise pull in a whole region.
-	MaxActive int
 }
 
-// NewLocalized builds the refiner state for graph g under the given side
-// assignment (taken by reference and maintained in place): per-net side
-// pin counts over active pins, side weights over alive nodes, and the
-// exact cut. slack and minW are the fine graph's largest and smallest node
-// weights. alive reports node liveness (nil means all nodes are alive);
-// dead nodes carry no weight and sit in no active pin, so they are simply
-// excluded from the side-weight sum. Runs in O(pins + nodes) — once per
-// hierarchy, not per level.
-func NewLocalized(g LocalGraph, bal partition.Balance, slack, minW int64, side []uint8, alive func(u int) bool, pool *hypergraph.Pool) *Localized {
-	l := &Localized{G: g, Bal: bal, Slack: slack, minW: minW, side: side, pool: pool}
-	m := g.NumNets()
-	l.pinCount[0] = pool.I32(m)
-	l.pinCount[1] = pool.I32(m)
-	for e := 0; e < m; e++ {
+// NewLocalized builds the refiner for view c under the given side
+// assignment, taken by reference and maintained in place. The slack is
+// c's largest base node weight and the weight floor its smallest.
+func NewLocalized(c *hypergraph.Contracted, bal partition.Balance, side []uint8) *Localized {
+	n, m := c.NumNodes(), c.NumNets()
+	l := &Localized{
+		c: c, Bal: bal, Slack: c.MaxBaseNodeWeight(), minW: c.MinBaseNodeWeight(), side: side,
+		pinCount: [2][]int32{make([]int32, m), make([]int32, m)},
+		pos:      make([]int32, n),
+		locked:   make([]int32, n),
+		touched:  make([]int32, n),
+	}
+	ds.FillAbsent(l.pos)
+	l.heap[0] = ds.NewSharedGainHeap(l.pos)
+	l.heap[1] = ds.NewSharedGainHeap(l.pos)
+	l.feas = l.feasible
+	l.Resync()
+	return l
+}
+
+// Resync recounts the incremental state from the view and the side
+// assignment: per-net side pin counts over active pins, side weights over
+// alive nodes (dead nodes carry no weight and sit in no active pin), and
+// the exact cut. Call it after sides moved behind the refiner's back, with
+// no seeds pending. Nothing else needs resetting: the epoch stamps only
+// grow and each pass clears the heaps. Runs in O(pins + nodes).
+func (l *Localized) Resync() {
+	c, side := l.c, l.side
+	l.cut = 0
+	for e := 0; e < c.NumNets(); e++ {
 		cs := [2]int32{}
-		for _, p := range g.Net(e) {
+		for _, p := range c.Net(e) {
 			cs[side[p]]++
 		}
 		l.pinCount[0][e] = cs[0]
 		l.pinCount[1][e] = cs[1]
-		if g.NetSize(e) >= 2 && cs[0] > 0 && cs[1] > 0 {
-			l.cut += g.NetCost(e)
+		if c.NetSize(e) >= 2 && cs[0] > 0 && cs[1] > 0 {
+			l.cut += c.NetCost(e)
 		}
 	}
-	n := g.NumNodes()
-	for u := 0; u < n; u++ {
-		if alive == nil || alive(u) {
-			w := g.NodeWeight(u)
+	l.sideW, l.total = [2]int64{}, 0
+	for u := 0; u < c.NumNodes(); u++ {
+		if c.Alive(u) {
+			w := c.NodeWeight(u)
 			l.sideW[side[u]] += w
 			l.total += w
 		}
 	}
-	l.pos = pool.I32(n)
-	ds.FillAbsent(l.pos)
-	l.locked = pool.I32(n)
-	l.touched = pool.I32(n)
-	l.heap[0] = ds.NewSharedGainHeap(l.pos)
-	l.heap[1] = ds.NewSharedGainHeap(l.pos)
-	l.feas = l.feasible
-	return l
-}
-
-// Release returns the pooled arrays. The refiner is unusable afterwards.
-func (l *Localized) Release() {
-	l.pool.PutI32(l.pinCount[0])
-	l.pool.PutI32(l.pinCount[1])
-	l.pool.PutI32(l.pos)
-	l.pool.PutI32(l.locked)
-	l.pool.PutI32(l.touched)
-	*l = Localized{}
 }
 
 // CutCost returns the refiner's incrementally-maintained cut.
@@ -156,14 +142,14 @@ func (l *Localized) Seed(u int) { l.pending = append(l.pending, int32(u)) }
 func (l *Localized) gain(u int) float64 {
 	s := l.side[u]
 	g := 0.0
-	for _, e := range l.G.NetsOf(u) {
-		if l.G.NetSize(int(e)) < 2 {
+	for _, e := range l.c.NetsOf(u) {
+		if l.c.NetSize(int(e)) < 2 {
 			continue
 		}
 		if l.pinCount[s][e] == 1 {
-			g += l.G.NetCost(int(e))
+			g += l.c.NetCost(int(e))
 		} else if l.pinCount[1-s][e] == 0 {
-			g -= l.G.NetCost(int(e))
+			g -= l.c.NetCost(int(e))
 		}
 	}
 	return g
@@ -175,20 +161,20 @@ func (l *Localized) move(u int) float64 {
 	s := l.side[u]
 	t := 1 - s
 	var delta float64
-	for _, e := range l.G.NetsOf(u) {
-		if l.G.NetSize(int(e)) >= 2 {
+	for _, e := range l.c.NetsOf(u) {
+		if l.c.NetSize(int(e)) >= 2 {
 			cs, ct := l.pinCount[s][e], l.pinCount[t][e]
 			if ct == 0 {
-				delta += l.G.NetCost(int(e))
+				delta += l.c.NetCost(int(e))
 			} else if cs == 1 {
-				delta -= l.G.NetCost(int(e))
+				delta -= l.c.NetCost(int(e))
 			}
 		}
 		l.pinCount[s][e]--
 		l.pinCount[t][e]++
 	}
 	l.side[u] = t
-	w := l.G.NodeWeight(u)
+	w := l.c.NodeWeight(u)
 	l.sideW[s] -= w
 	l.sideW[t] += w
 	l.cut += delta
@@ -200,19 +186,16 @@ func (l *Localized) move(u int) float64 {
 func (l *Localized) feasible(u int) bool {
 	w0 := l.sideW[0]
 	if l.side[u] == 0 {
-		w0 -= l.G.NodeWeight(u)
+		w0 -= l.c.NodeWeight(u)
 	} else {
-		w0 += l.G.NodeWeight(u)
+		w0 += l.c.NodeWeight(u)
 	}
 	return l.Bal.FeasibleWithSlack(w0, l.total, l.Slack)
 }
 
-// activate registers u for this episode (idempotent) subject to MaxActive.
+// activate registers u for this episode (idempotent) subject to maxActive.
 func (l *Localized) activate(u int32) {
-	if l.touched[u] == l.epoch {
-		return
-	}
-	if l.MaxActive > 0 && len(l.active) >= l.MaxActive {
+	if l.touched[u] == l.epoch || len(l.active) >= maxActive {
 		return
 	}
 	l.touched[u] = l.epoch
@@ -257,8 +240,8 @@ func (l *Localized) RunPass() (float64, int, int) {
 		// every other pin's gain bitwise unchanged, so selection order — and
 		// therefore the partition — is identical to always-recompute.
 		u32 := int32(u)
-		for _, e := range l.G.NetsOf(u) {
-			if l.G.NetSize(int(e)) < 2 {
+		for _, e := range l.c.NetsOf(u) {
+			if l.c.NetSize(int(e)) < 2 {
 				continue
 			}
 			// Post-move counts: u left `from` (now fs) and joined `to` (now
@@ -266,7 +249,7 @@ func (l *Localized) RunPass() (float64, int, int) {
 			from := l.side[u] ^ 1
 			fs, ft := l.pinCount[from][e], l.pinCount[from^1][e]
 			critical := fs <= 1 || ft <= 2
-			for _, w := range l.G.Net(int(e)) {
+			for _, w := range l.c.Net(int(e)) {
 				if w == u32 || l.locked[w] == l.lockEpoch {
 					continue
 				}

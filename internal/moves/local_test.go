@@ -46,12 +46,12 @@ func TestLocalizedRefineImprovesAndTracksCut(t *testing.T) {
 	bal := partition.B4555()
 	rng := rand.New(rand.NewSource(2))
 	sides := partition.RandomSides(h, bal, rng)
-	var maxW, minW int64 = 1, h.NodeWeight(0)
-	for u := 0; u < h.NumNodes(); u++ {
-		maxW = max(maxW, h.NodeWeight(u))
-		minW = min(minW, h.NodeWeight(u))
+	// At depth 0 the view is the graph itself.
+	c, err := hypergraph.NewContracted(h)
+	if err != nil {
+		t.Fatal(err)
 	}
-	l := NewLocalized(h, bal, maxW, minW, sides, nil, nil)
+	l := NewLocalized(c, bal, sides)
 	start := l.CutCost()
 	if got := recount(h, sides); got != start {
 		t.Fatalf("initial cut %g, recount %g", start, got)
@@ -83,15 +83,14 @@ func TestLocalizedRefineImprovesAndTracksCut(t *testing.T) {
 	if sw[0] != w0 || sw[0]+sw[1] != total {
 		t.Fatalf("side weights %v, want w0=%d total=%d", sw, w0, total)
 	}
-	if !bal.FeasibleWithSlack(sw[0], total, maxW) {
+	if !bal.FeasibleWithSlack(sw[0], total, c.MaxBaseNodeWeight()) {
 		t.Fatalf("refined sides infeasible: %v of %d", sw, total)
 	}
-	l.Release()
 }
 
 func TestLocalizedOnContractedMatchesRecount(t *testing.T) {
 	h := localTestGraph(t, 80, 140, 4)
-	c, err := hypergraph.NewContracted(h, nil)
+	c, err := hypergraph.NewContracted(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +124,7 @@ func TestLocalizedOnContractedMatchesRecount(t *testing.T) {
 		sides[u] = s
 		w[s] += c.NodeWeight(u)
 	}
-	l := NewLocalized(c, bal, c.MaxBaseNodeWeight(), c.MinBaseNodeWeight(), sides, c.Alive, nil)
+	l := NewLocalized(c, bal, sides)
 	start := l.CutCost()
 	// Reference: active-pin recount on the view.
 	ref := 0.0
@@ -170,7 +169,95 @@ func TestLocalizedOnContractedMatchesRecount(t *testing.T) {
 	if end != ref {
 		t.Fatalf("incremental cut %g diverged from recount %g", end, ref)
 	}
-	l.Release()
+}
+
+// TestLocalizedResyncMatchesFresh: after sides move behind a refiner's
+// back, Resync leaves it in the state a freshly built refiner has — pin
+// counts, side weights, total and cut, each also checked against a
+// recount — and both then refine identically.
+func TestLocalizedResyncMatchesFresh(t *testing.T) {
+	h := localTestGraph(t, 100, 170, 21)
+	c, err := hypergraph.NewContracted(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for k := 0; k < 35; k++ {
+		u, v := int32(rng.Intn(c.NumNodes())), int32(rng.Intn(c.NumNodes()))
+		if u != v && c.Alive(int(u)) && c.Alive(int(v)) {
+			c.Contract(u, v)
+		}
+	}
+	var alive []int
+	sides := make([]uint8, c.NumNodes())
+	for u := 0; u < c.NumNodes(); u++ {
+		if c.Alive(u) {
+			alive = append(alive, u)
+			sides[u] = uint8(len(alive) % 2)
+		}
+	}
+	bal := partition.B4555()
+	l := NewLocalized(c, bal, sides)
+	for _, u := range alive {
+		l.Seed(u)
+	}
+	l.Refine(0) // advance the epochs and leave entries in the heaps
+	flipped := 0
+	for _, u := range alive {
+		if rng.Intn(4) == 0 {
+			sides[u] ^= 1
+			flipped++
+		}
+	}
+	if flipped == 0 {
+		t.Fatal("no side flipped")
+	}
+	l.Resync()
+
+	fresh := NewLocalized(c, bal, append([]uint8(nil), sides...))
+	for s := 0; s < 2; s++ {
+		for e := 0; e < c.NumNets(); e++ {
+			if l.pinCount[s][e] != fresh.pinCount[s][e] {
+				t.Fatalf("net %d side %d: resynced pin count %d, fresh %d", e, s, l.pinCount[s][e], fresh.pinCount[s][e])
+			}
+		}
+	}
+	if l.sideW != fresh.sideW || l.total != fresh.total || l.cut != fresh.cut {
+		t.Fatalf("resynced sideW %v total %d cut %g, fresh sideW %v total %d cut %g",
+			l.sideW, l.total, l.cut, fresh.sideW, fresh.total, fresh.cut)
+	}
+
+	var w [2]int64
+	for _, u := range alive {
+		w[sides[u]] += c.NodeWeight(u)
+	}
+	ref := 0.0
+	for e := 0; e < c.NumNets(); e++ {
+		var cc [2]int32
+		for _, p := range c.Net(e) {
+			cc[sides[p]]++
+		}
+		if cc != [2]int32{l.pinCount[0][e], l.pinCount[1][e]} {
+			t.Fatalf("net %d: pin counts %d/%d, recount %v", e, l.pinCount[0][e], l.pinCount[1][e], cc)
+		}
+		if c.NetSize(e) >= 2 && cc[0] > 0 && cc[1] > 0 {
+			ref += c.NetCost(e)
+		}
+	}
+	if l.sideW != w || l.total != w[0]+w[1] || l.cut != ref {
+		t.Fatalf("resynced sideW %v total %d cut %g, recount %v %d %g", l.sideW, l.total, l.cut, w, w[0]+w[1], ref)
+	}
+
+	for _, u := range alive {
+		l.Seed(u)
+		fresh.Seed(u)
+	}
+	l.Refine(0)
+	fresh.Refine(0)
+	if l.cut != fresh.cut || string(l.side) != string(fresh.side) {
+		t.Fatalf("after refining: resynced cut %g, fresh %g (sides equal: %v)",
+			l.cut, fresh.cut, string(l.side) == string(fresh.side))
+	}
 }
 
 func TestLocalizedUncontractedSeeding(t *testing.T) {
@@ -178,7 +265,7 @@ func TestLocalizedUncontractedSeeding(t *testing.T) {
 	// Uncontracted: the tracked cut must equal a recount after every pop
 	// (uncontraction with side inheritance is cut-neutral).
 	h := localTestGraph(t, 60, 100, 11)
-	c, err := hypergraph.NewContracted(h, nil)
+	c, err := hypergraph.NewContracted(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +292,7 @@ func TestLocalizedUncontractedSeeding(t *testing.T) {
 			sides[u] = uint8(rng.Intn(2))
 		}
 	}
-	l := NewLocalized(c, partition.B4555(), c.MaxBaseNodeWeight(), c.MinBaseNodeWeight(), sides, c.Alive, nil)
+	l := NewLocalized(c, partition.B4555(), sides)
 	caseA := make([]int32, 0, 32)
 	for c.Depth() > 0 {
 		var m hypergraph.Memento
@@ -284,7 +371,7 @@ func TestLocalizedSideGateExact(t *testing.T) {
 			}
 		}
 		h := b.MustBuild()
-		c, err := hypergraph.NewContracted(h, nil)
+		c, err := hypergraph.NewContracted(h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +393,7 @@ func TestLocalizedSideGateExact(t *testing.T) {
 			}
 		}
 		bal := bals[rng.Intn(len(bals))]
-		l := NewLocalized(c, bal, c.MaxBaseNodeWeight(), c.MinBaseNodeWeight(), sides, c.Alive, nil)
+		l := NewLocalized(c, bal, sides)
 		l.fillHeaps(alive)
 		lo, hi := bal.Bounds(l.total)
 		for {
@@ -354,7 +441,7 @@ func TestLocalizedSideGateOneSided(t *testing.T) {
 	if err := b.AddNet("", 1, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	c, err := hypergraph.NewContracted(b.MustBuild(), nil)
+	c, err := hypergraph.NewContracted(b.MustBuild())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +449,7 @@ func TestLocalizedSideGateOneSided(t *testing.T) {
 		c.Contract(1, v) // node 1 weighs 4
 	}
 	sides := []uint8{0, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-	l := NewLocalized(c, partition.Exact5050(), c.MaxBaseNodeWeight(), c.MinBaseNodeWeight(), sides, c.Alive, nil)
+	l := NewLocalized(c, partition.Exact5050(), sides)
 	if l.sideW != [2]int64{1, 9} || l.minW != 1 || l.Slack != 1 {
 		t.Fatalf("setup: sideW %v, minW %d, slack %d", l.sideW, l.minW, l.Slack)
 	}

@@ -75,7 +75,8 @@ const (
 	initialRuns = 10
 	// uncontractBatch is how many mementos n-level pops between localized
 	// refinement episodes. Smaller batches refine more often; larger ones
-	// amortize heap fills.
+	// amortize heap fills. The episode's activation cap in moves (512) is
+	// 8× this batch.
 	uncontractBatch = 64
 )
 
@@ -154,17 +155,15 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config) (Re
 	sp := cfg.Tracer.StartPhase(cfg.TraceRun, "multilevel")
 	defer sp.End()
 
-	pool := hypergraph.NewPool()
 	newView := hypergraph.NewContracted
 	if cfg.InPlace {
 		newView = hypergraph.NewContractedInPlace
 	}
-	c, err := newView(h, pool)
+	c, err := newView(h)
 	if err != nil {
 		return Result{}, err
 	}
-	defer c.Release()
-	r := &hierarchy{cfg: cfg, h: h, c: c, pool: pool, sides: make([]uint8, h.NumNodes())}
+	r := &hierarchy{cfg: cfg, h: h, c: c, sides: make([]uint8, h.NumNodes())}
 	// Unwind on every exit path: an in-place view borrows h's arenas.
 	defer cluster.Unwind(c, 0, r.sides)
 	if err := body(r, ctx); err != nil {
@@ -191,7 +190,6 @@ type hierarchy struct {
 	cfg   Config
 	h     *hypergraph.Hypergraph
 	c     *hypergraph.Contracted
-	pool  *hypergraph.Pool
 	sides []uint8
 
 	levels      int
@@ -203,7 +201,7 @@ type hierarchy struct {
 // revived node inherits its representative's side), then materialize,
 // repair and refine the finer level.
 func (r *hierarchy) vcycle(ctx context.Context) error {
-	bounds, err := cluster.CoarsenRounds(r.c, coarsestNodes, r.cfg.Seed, r.pool, r.cfg.Tracer, r.cfg.TraceRun)
+	bounds, err := cluster.CoarsenRounds(r.c, coarsestNodes, r.cfg.Seed, r.cfg.Tracer, r.cfg.TraceRun)
 	if err != nil {
 		return err
 	}

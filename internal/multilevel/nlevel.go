@@ -28,7 +28,7 @@ func (r *hierarchy) nlevel(ctx context.Context) error {
 		if iter > 0 {
 			within = r.sides
 		}
-		if err := cluster.CoarsenInPlace(r.c, coarsestNodes, seed, within, r.pool, cfg.Tracer, cfg.TraceRun); err != nil {
+		if err := cluster.CoarsenInPlace(r.c, coarsestNodes, seed, within, cfg.Tracer, cfg.TraceRun); err != nil {
 			return err
 		}
 		if iter > 0 && r.c.Depth() == 0 {
@@ -85,8 +85,7 @@ func (r *hierarchy) uncoarsen(ctx context.Context) error {
 	seg := 0
 	sp := cfg.Tracer.StartPhaseLevel(cfg.TraceRun, "uncoarsen", seg)
 	defer func() { sp.End() }()
-	l := r.localized()
-	defer func() { l.Release() }()
+	l := moves.NewLocalized(c, cfg.Balance, r.sides)
 	caseA := make([]int32, 0, 64)
 	checkpoint := c.AliveCount() * 2
 	for c.Depth() > 0 {
@@ -108,21 +107,12 @@ func (r *hierarchy) uncoarsen(ctx context.Context) error {
 				return err
 			}
 			// The checkpoint moved nodes behind the localized refiner's
-			// back; rebuild its incremental state.
-			l.Release()
-			l = r.localized()
+			// back; recount its incremental state.
+			l.Resync()
 		}
 		sp.End()
 		seg++
 		sp = cfg.Tracer.StartPhaseLevel(cfg.TraceRun, "uncoarsen", seg)
 	}
 	return nil
-}
-
-// localized returns a boundary-localized refiner over the view, sharing
-// the hierarchy's side assignment.
-func (r *hierarchy) localized() *moves.Localized {
-	l := moves.NewLocalized(r.c, r.cfg.Balance, r.c.MaxBaseNodeWeight(), r.c.MinBaseNodeWeight(), r.sides, r.c.Alive, r.pool)
-	l.MaxActive = 8 * uncontractBatch
-	return l
 }

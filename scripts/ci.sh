@@ -63,6 +63,20 @@ if [ -n "$builders" ]; then
 	exit 1
 fi
 
+echo "== scratch guard =="
+# Each hierarchy buffer has one owner that allocates it: the contraction
+# view, the coarsener or the localized refiner makes what it uses, and the
+# refiner runs on the hypergraph.Contracted view itself. A buffer pool or
+# a second graph interface for the refiner means a second allocator or
+# view type came back.
+pools=$(grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=perfbench \
+	'NewPool|hypergraph\.Pool|LocalGraph' . || true)
+if [ -n "$pools" ]; then
+	echo "hierarchy scratch pooled or viewed through a second interface:" >&2
+	echo "$pools" >&2
+	exit 1
+fi
+
 echo "== container guard =="
 # One ordered container for float gains: ds.GainHeap, with ID or LIFO
 # ties, owning its position index or sharing one. A sift or rotate method
