@@ -29,8 +29,7 @@ func obsTestEngine(t *testing.T) *passEngine {
 func TestPassRefreshCounters(t *testing.T) {
 	e := obsTestEngine(t)
 	e.loop().RunPass()
-	var ev obs.Pass
-	e.FillPass(&ev)
+	ev := e.FillPass(obs.Pass{})
 	n := e.b.H.NumNodes()
 	if ev.SweptNodes < n || ev.Refreshes == 0 {
 		t.Fatalf("swept %d (want ≥ %d), refreshes %d (want > 0)", ev.SweptNodes, n, ev.Refreshes)

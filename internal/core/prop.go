@@ -113,7 +113,7 @@ func (e *passEngine) loop() *moves.Loop {
 
 // FillPass implements moves.PassFiller: decorate the driver's pass event
 // with PROP's refinement and refresh counters.
-func (e *passEngine) FillPass(ev *obs.Pass) {
+func (e *passEngine) FillPass(ev obs.Pass) obs.Pass {
 	ev.DirtyNets = e.ps.dirtyNets
 	ev.SweptNodes = e.ps.swept
 	ev.RefineIters = e.ps.refineIters
@@ -121,6 +121,7 @@ func (e *passEngine) FillPass(ev *obs.Pass) {
 	ev.Refreshes = e.ps.refreshes
 	ev.GainEvals = e.ps.swept + e.ps.refreshes - e.ps.stampSkips
 	ev.StampSkips = e.ps.stampSkips
+	return ev
 }
 
 // seedProbabilities implements step 3 of Fig. 2.

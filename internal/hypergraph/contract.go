@@ -220,10 +220,14 @@ func (c *Contracted) MinBaseNodeWeight() int64 { return c.minNodeWeight }
 // NetsOf returns the nets of node u. For an alive u this is the set of
 // nets holding u as an active pin, except that dead (size-1) nets handed
 // to u by contraction are omitted — the list may still include dead nets
-// u pinned natively. Every consumer filters on NetSize ≥ 2, so the
-// omission is invisible outside this file. For a dead u the list is
-// frozen at the value it had at contraction time. The slice is
-// invalidated by Contract/Uncontract; callers must not modify it.
+// u pinned natively. Every live (≥ 2-pin) net is listed by each of its
+// active pins. The omission is visible to a consumer that keeps per-net
+// state across moves: moving u does not reach a dead net u holds
+// unlisted, so such a net's state is stale when an Uncontract regrows
+// it to two pins (the case-A u and v), and must be re-derived there
+// rather than adjusted. For a dead u the list is frozen at the value it
+// had at contraction time. The slice is invalidated by
+// Contract/Uncontract; callers must not modify it.
 func (c *Contracted) NetsOf(u int) []int32 {
 	s := c.spans[u]
 	if s.off >= 0 {

@@ -1,6 +1,8 @@
 package moves
 
 import (
+	"math"
+
 	"prop/internal/ds"
 	"prop/internal/hypergraph"
 	"prop/internal/partition"
@@ -29,10 +31,11 @@ const maxActive = 512
 // space) scanned by the heap container's FirstFeasible, passes implement
 // PassRunner so Run drives convergence and trace emission, and the kept
 // prefix comes from PassLog.BestPrefix with RollbackWith undoing rejected
-// moves. Feasibility uses the base graph's maximum node weight as constant
-// slack, the same window the V-cycle grants its per-level refiners;
-// depth-0 callers tighten the final result with a standard repair + full
-// refine.
+// moves. A pass stops early once a bound proves that no later move can
+// improve on its best prefix, which changes no result (see step).
+// Feasibility uses the base graph's maximum node weight as constant slack,
+// the same window the V-cycle grants its per-level refiners; depth-0
+// callers tighten the final result with a standard repair + full refine.
 type Localized struct {
 	c     *hypergraph.Contracted
 	Bal   partition.Balance
@@ -49,17 +52,29 @@ type Localized struct {
 	total    int64
 	cut      float64
 
-	heap      [2]*ds.GainHeap
-	pos       []int32          // shared by both heaps (disjoint membership)
-	feas      func(u int) bool // l.feasible, bound once: no per-scan closure
-	locked    []int32          // stamped with lockEpoch: one move per node per pass
-	touched   []int32          // stamped with epoch: episode active-set membership
-	epoch     int32            // bumped per Refine episode
-	lockEpoch int32            // bumped per pass
+	heap [2]*ds.GainHeap
+	pos  []int32          // shared by both heaps (disjoint membership)
+	feas func(u int) bool // l.feasible, bound once: no per-scan closure
+
+	// One clock stamps both episode membership and pass locks: lock is
+	// bumped per pass and per episode, epoch is its value when the
+	// episode began, so lock > epoch inside a pass. stamp[u] ≥ epoch
+	// puts u in the active set and stamp[u] == lock locks it.
+	stamp []int32
+	epoch int32
+	lock  int32
 
 	active  []int32 // nodes eligible for this episode's containers
 	pending []int32 // seeds accumulated since the last Refine
 	log     PassLog
+
+	// The pass-end bound (see step). exact is fixed at construction; the
+	// rest lives for one pass, from the moment the active set is full.
+	exact   bool        // integer net costs summing below 2^53
+	bounded bool        // movable and reach are live this pass
+	reach   float64     // summed cost of the cut nets a later move could uncut
+	movable [2][]uint16 // per live net and side: active pins not yet moved
+	counted []int32     // nets with movable pins, whose counts pass end zeroes
 }
 
 // NewLocalized builds the refiner for view c under the given side
@@ -71,8 +86,10 @@ func NewLocalized(c *hypergraph.Contracted, bal partition.Balance, side []uint8)
 		c: c, Bal: bal, Slack: c.MaxBaseNodeWeight(), minW: c.MinBaseNodeWeight(), side: side,
 		pinCount: [2][]int32{make([]int32, m), make([]int32, m)},
 		pos:      make([]int32, n),
-		locked:   make([]int32, n),
-		touched:  make([]int32, n),
+		stamp:    make([]int32, n),
+	}
+	if l.exact = exactCosts(c); l.exact {
+		l.movable = [2][]uint16{make([]uint16, m), make([]uint16, m)}
 	}
 	ds.FillAbsent(l.pos)
 	l.heap[0] = ds.NewSharedGainHeap(l.pos)
@@ -82,12 +99,27 @@ func NewLocalized(c *hypergraph.Contracted, bal partition.Balance, side []uint8)
 	return l
 }
 
+// exactCosts reports whether every net cost of c is an integer and their
+// sum is below 2^53. Then every cut, gain and prefix sum the refiner forms
+// is an integer of magnitude at most that sum, which float64 holds
+// exactly whatever the order of the additions.
+func exactCosts(c *hypergraph.Contracted) bool {
+	var sum float64
+	for e := 0; e < c.NumNets(); e++ {
+		w := c.NetCost(e)
+		if sum += w; w != math.Trunc(w) || sum >= 1<<53 {
+			return false
+		}
+	}
+	return true
+}
+
 // Resync recounts the incremental state from the view and the side
 // assignment: per-net side pin counts over active pins, side weights over
 // alive nodes (dead nodes carry no weight and sit in no active pin), and
 // the exact cut. Call it after sides moved behind the refiner's back, with
-// no seeds pending. Nothing else needs resetting: the epoch stamps only
-// grow and each pass clears the heaps. Runs in O(pins + nodes).
+// no seeds pending. Nothing else needs resetting: the stamps' clock only
+// grows and each pass clears the heaps. Runs in O(pins + nodes).
 func (l *Localized) Resync() {
 	c, side := l.c, l.side
 	l.cut = 0
@@ -123,12 +155,21 @@ func (l *Localized) SideWeights() [2]int64 { return l.sideW }
 // already held u; case-B nets swapped pin identity within the side), the
 // revived pins are counted, and both endpoints become seeds for the next
 // Refine call.
+//
+// A case-A net that regrows to two active pins was dead until now, and a
+// dead net's counts can be stale: contraction may have handed it to a
+// node that does not list it (see Contracted.NetsOf), so moves of that
+// node never reached them. Its two pins are u and v, both on u's side, so
+// its counts are set outright instead of incremented.
 func (l *Localized) Uncontracted(u, v int, caseA []int32) {
 	s := l.side[u]
 	l.side[v] = s
-	pc := l.pinCount[s]
 	for _, e := range caseA {
-		pc[e]++
+		if l.c.NetSize(int(e)) == 2 {
+			l.pinCount[s][e], l.pinCount[1-s][e] = 2, 0
+		} else {
+			l.pinCount[s][e]++
+		}
 	}
 	l.pending = append(l.pending, int32(u), int32(v))
 }
@@ -195,10 +236,10 @@ func (l *Localized) feasible(u int) bool {
 
 // activate registers u for this episode (idempotent) subject to maxActive.
 func (l *Localized) activate(u int32) {
-	if l.touched[u] == l.epoch || len(l.active) >= maxActive {
+	if l.stamp[u] >= l.epoch || len(l.active) >= maxActive {
 		return
 	}
-	l.touched[u] = l.epoch
+	l.stamp[u] = l.epoch
 	l.active = append(l.active, u)
 }
 
@@ -211,62 +252,182 @@ func (l *Localized) Cut() float64 { return l.cut }
 // RunPass implements PassRunner: one boundary-localized FM pass over the
 // episode's active set, with prefix-max rollback.
 func (l *Localized) RunPass() (float64, int, int) {
-	// Locks are per pass: re-arm them without disturbing the episode's
-	// active-set stamps (which use the episode epoch, set by Refine).
-	l.lockEpoch++
+	l.beginPass()
+	for l.step() {
+	}
+	return l.endPass()
+}
+
+// beginPass re-arms the locks and fills the heaps with the active set.
+func (l *Localized) beginPass() {
+	l.lock++
 	l.log.Reset()
 	l.heap[0].Clear()
 	l.heap[1].Clear()
 	for _, u := range l.active {
 		l.heap[l.side[u]].Insert(int(u), l.gain(int(u)))
 	}
-	for l.heap[0].Len()+l.heap[1].Len() > 0 {
-		u, ok := l.selectBest()
-		if !ok {
-			break
+}
+
+// endPass drops the bound's state, rolls back past the best prefix and
+// returns the pass's G_max, moves and kept prefix.
+func (l *Localized) endPass() (float64, int, int) {
+	if l.bounded {
+		for _, e := range l.counted {
+			l.movable[0][e], l.movable[1][e] = 0, 0
 		}
-		l.heap[l.side[u]].Delete(u)
-		l.locked[u] = l.lockEpoch
-		imm := l.move(u)
-		l.log.Record(u, imm)
-		// Expansion + neighbor refresh. Every unlocked active pin sharing a
-		// live net with u joins the episode (budget permitting), but a gain
-		// recompute — O(degree(w)), ruinous when w is a coarse cluster with
-		// an adopted list of thousands of nets — happens only when it can
-		// change the value: on nets where the move crossed a lone-pin or
-		// empty-side threshold (FM's critical nets), and for nodes newly
-		// entering the pass. Skipped nodes keep their heap entry, which is
-		// stale only in age: a pin-count change on a non-critical net leaves
-		// every other pin's gain bitwise unchanged, so selection order — and
-		// therefore the partition — is identical to always-recompute.
-		u32 := int32(u)
-		for _, e := range l.c.NetsOf(u) {
-			if l.c.NetSize(int(e)) < 2 {
-				continue
-			}
-			// Post-move counts: u left `from` (now fs) and joined `to` (now
-			// ft ≥ 1). Critical iff pre-move from ∈ {1, 2} or to ∈ {0, 1}.
-			from := l.side[u] ^ 1
-			fs, ft := l.pinCount[from][e], l.pinCount[from^1][e]
-			critical := fs <= 1 || ft <= 2
-			for _, w := range l.c.Net(int(e)) {
-				if w == u32 || l.locked[w] == l.lockEpoch {
-					continue
-				}
-				fresh := l.touched[w] != l.epoch
-				l.activate(w)
-				if l.touched[w] != l.epoch {
-					continue // activation budget hit
-				}
-				if critical || fresh {
-					l.heap[l.side[w]].Insert(int(w), l.gain(int(w)))
-				}
-			}
-		}
+		l.counted = l.counted[:0]
+		l.bounded = false
 	}
 	p, gmax := l.log.BestPrefix()
 	l.log.RollbackWith(p, func(_, node int) { l.move(node) })
 	return gmax, l.log.Len(), p
+}
+
+// step makes the pass's next move and reports whether it made one. The
+// pass ends when the heaps are empty, when no candidate is feasible, or
+// when the bound below proves that no later prefix can become the best.
+//
+// The bound starts once the active set is full: activate then admits no
+// node, so only the active nodes not yet moved (the movable set M) can
+// move for the rest of the pass, and M only shrinks. A later move lowers
+// the cut only by uncutting a net that is cut now and has every pin of one
+// side in M; a net uncut now can only add cost. So with reach the summed
+// cost of such nets, no later prefix sum exceeds Sum + reach, and once
+// that cannot pass the best prefix by more than EpsGain — the test Record
+// uses to advance it — the rest of the pass is moves the rollback would
+// undo. BestPrefix, the rollback and the next pass (whose active set the
+// skipped moves could not have grown) see what a pass run to the end
+// sees. The arithmetic is exact only under integer costs (exactCosts);
+// otherwise passes run to the end.
+func (l *Localized) step() bool {
+	if l.heap[0].Len()+l.heap[1].Len() == 0 {
+		return false
+	}
+	if l.exact && len(l.active) >= maxActive {
+		if !l.bounded {
+			l.countMovable()
+		}
+		if _, best := l.log.BestPrefix(); l.log.Sum()+l.reach <= best+EpsGain {
+			return false
+		}
+	}
+	u, ok := l.selectBest()
+	if !ok {
+		return false
+	}
+	l.heap[l.side[u]].Delete(u)
+	l.stamp[u] = l.lock
+	if l.bounded {
+		l.retire(u)
+	}
+	imm := l.move(u)
+	if l.bounded {
+		l.addReach(u)
+	}
+	l.log.Record(u, imm)
+	l.rescore(u)
+	return true
+}
+
+// rescore updates the heap keys that u's move changed and grows the
+// episode through u's live nets. Every unlocked pin sharing such a net
+// with u joins the episode (budget permitting), but a gain — O(degree),
+// ruinous when the pin is a coarse cluster with an adopted list of
+// thousands of nets — is recomputed only for pins whose FM term on that
+// net changed, and for pins newly entering the pass. With fs and ft the
+// net's pins now left on u's old side and on its new side, a pin on the
+// old side changes its term only if fs == 1 (it became its side's lone
+// pin) or ft == 1 (the side it would join stopped being empty); a pin on
+// the new side only if ft == 2 (it stopped being lone) or fs == 0 (the
+// side it would join became empty). Any other pin's gain is bitwise
+// unchanged, so its key stays exact and selection order, and the
+// partition, is that of recomputing every pin.
+func (l *Localized) rescore(u int) {
+	u32 := int32(u)
+	to := l.side[u]
+	from := to ^ 1
+	full := len(l.active) >= maxActive
+	for _, e := range l.c.NetsOf(u) {
+		if l.c.NetSize(int(e)) < 2 {
+			continue
+		}
+		fs, ft := l.pinCount[from][e], l.pinCount[to][e]
+		onFrom, onTo := fs == 1 || ft == 1, ft == 2 || fs == 0
+		if full && !onFrom && !onTo {
+			continue // no key changes and no pin can join
+		}
+		for _, w := range l.c.Net(int(e)) {
+			if w == u32 || l.stamp[w] == l.lock {
+				continue
+			}
+			fresh := l.stamp[w] < l.epoch
+			l.activate(w)
+			if l.stamp[w] < l.epoch {
+				continue // activation budget hit
+			}
+			if fresh || (l.side[w] == from && onFrom) || (l.side[w] == to && onTo) {
+				l.heap[l.side[w]].Insert(int(w), l.gain(int(w)))
+			}
+		}
+	}
+}
+
+// countMovable starts the bound: it counts each live net's movable pins
+// per side over the active set and sums reach once. At most maxActive
+// pins are movable, so the counts fit in uint16.
+func (l *Localized) countMovable() {
+	for _, u := range l.active {
+		if l.stamp[u] == l.lock {
+			continue
+		}
+		s := l.side[u]
+		for _, e := range l.c.NetsOf(int(u)) {
+			if l.c.NetSize(int(e)) < 2 {
+				continue
+			}
+			if l.movable[0][e] == 0 && l.movable[1][e] == 0 {
+				l.counted = append(l.counted, e)
+			}
+			l.movable[s][e]++
+		}
+	}
+	l.reach = 0
+	for _, e := range l.counted {
+		l.reach += l.reachOf(e)
+	}
+	l.bounded = true
+}
+
+// retire takes u, about to move, out of the movable counts and its live
+// nets' shares out of reach; addReach puts the shares back after the
+// move. No other net's share changes.
+func (l *Localized) retire(u int) {
+	s := l.side[u]
+	for _, e := range l.c.NetsOf(u) {
+		if l.c.NetSize(int(e)) >= 2 {
+			l.reach -= l.reachOf(e)
+			l.movable[s][e]--
+		}
+	}
+}
+
+func (l *Localized) addReach(u int) {
+	for _, e := range l.c.NetsOf(u) {
+		if l.c.NetSize(int(e)) >= 2 {
+			l.reach += l.reachOf(e)
+		}
+	}
+}
+
+// reachOf is net e's share of the bound: its cost if it is cut and every
+// pin on one of its sides is movable, else 0.
+func (l *Localized) reachOf(e int32) float64 {
+	c0, c1 := l.pinCount[0][e], l.pinCount[1][e]
+	if c0 > 0 && c1 > 0 && (int32(l.movable[0][e]) == c0 || int32(l.movable[1][e]) == c1) {
+		return l.c.NetCost(int(e))
+	}
+	return 0
 }
 
 // selectBest mirrors the engine's two-container selection: each side's
@@ -306,15 +467,24 @@ func (l *Localized) selectBest() (int, bool) {
 // Refine runs the accumulated seeds to convergence (at most maxPasses
 // passes) and clears the seed set. Returns the pass/move/kept outcome.
 func (l *Localized) Refine(maxPasses int) Outcome {
-	if len(l.pending) == 0 {
+	if !l.startEpisode() {
 		return Outcome{}
 	}
-	l.epoch++
+	return Run(l, maxPasses, nil, 0, nil)
+}
+
+// startEpisode makes the pending seeds the new episode's active set and
+// clears them. It reports false, starting nothing, when none are pending.
+func (l *Localized) startEpisode() bool {
+	if len(l.pending) == 0 {
+		return false
+	}
+	l.lock++
+	l.epoch = l.lock
 	l.active = l.active[:0]
 	for _, u := range l.pending {
 		l.activate(u)
 	}
 	l.pending = l.pending[:0]
-	out := Run(l, maxPasses, nil, 0, nil)
-	return out
+	return true
 }

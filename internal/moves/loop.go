@@ -55,10 +55,11 @@ func (l *Loop) Cut() float64 { return l.B.CutCost() }
 
 // FillPass forwards trace-event decoration to the policy when it
 // implements PassFiller.
-func (l *Loop) FillPass(ev *obs.Pass) {
+func (l *Loop) FillPass(ev obs.Pass) obs.Pass {
 	if f, ok := l.Pol.(PassFiller); ok {
-		f.FillPass(ev)
+		return f.FillPass(ev)
 	}
+	return ev
 }
 
 // RunPass implements PassRunner: steps 5–10 of the paper's pass protocol.

@@ -49,9 +49,11 @@ type PassRunner interface {
 }
 
 // PassFiller lets a PassRunner (or its policy) decorate the pass trace
-// event with algorithm-specific counters before emission.
+// event with algorithm-specific counters before emission. The event goes
+// in and comes back by value: a pointer through this interface call would
+// move it to the heap on every traced pass.
 type PassFiller interface {
-	FillPass(*obs.Pass)
+	FillPass(obs.Pass) obs.Pass
 }
 
 // Outcome aggregates a Run.
@@ -97,7 +99,7 @@ func Run(r PassRunner, maxPasses int, tracer *obs.Tracer, run int, afterPass fun
 				Dur: now.Sub(passStart),
 			}
 			if filler != nil {
-				filler.FillPass(&ev)
+				ev = filler.FillPass(ev)
 			}
 			tracer.EmitPass(ev)
 			passStart = now

@@ -47,10 +47,11 @@ func (l *PairLoop) Cut() float64 { return l.Pol.Cut() }
 
 // FillPass forwards trace-event decoration to the policy when it
 // implements PassFiller.
-func (l *PairLoop) FillPass(ev *obs.Pass) {
+func (l *PairLoop) FillPass(ev obs.Pass) obs.Pass {
 	if f, ok := l.Pol.(PassFiller); ok {
-		f.FillPass(ev)
+		return f.FillPass(ev)
 	}
+	return ev
 }
 
 // RunPass implements PassRunner for pair swaps.

@@ -316,6 +316,16 @@ if [ "$elapsed" -gt 240 ]; then
 	echo "scale smoke: 100k-node n-level row took ${elapsed}s (budget 240s)" >&2
 	exit 1
 fi
-echo "scale smoke: 100k nodes in ${elapsed}s, recount ok"
+# The row's cut is pinned: n-level is deterministic for a circuit and seed,
+# so another cut means the hierarchy or the refiners changed their
+# partitions. Changing the pinned value needs the same justification as a
+# golden re-pin.
+scale_cut=$(sed -n 's/.*"cut_cost":\([^,}]*\).*/\1/p' "$tracedir/scale_row.json")
+if [ "$scale_cut" != 4127 ]; then
+	echo "scale smoke: 100k-node n-level row cut ${scale_cut}, pinned at 4127" >&2
+	cat "$tracedir/scale_row.json" >&2
+	exit 1
+fi
+echo "scale smoke: 100k nodes in ${elapsed}s, cut 4127, recount ok"
 
 echo "ci: all checks passed"
