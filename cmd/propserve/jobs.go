@@ -296,7 +296,7 @@ func (s *server) executeJob(id, tenant string) {
 func (s *server) runPayload(ctx context.Context, pl *jobPayload, req *partitionRequest, runID string, tr *prop.Tracer) ([]byte, *partitionResponse, error) {
 	switch pl.Kind {
 	case kindPartition:
-		nl, err := parseNetlist(pl.ContentType, pl.Body)
+		nl, err := parseNetlist(pl.ContentType, bytes.NewReader(pl.Body))
 		if err != nil {
 			return nil, nil, fmt.Errorf("netlist: %w", err)
 		}
@@ -362,7 +362,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// Parse the netlist before accepting: a malformed submission is
 	// rejected up front, not journaled and failed asynchronously.
 	ct := r.Header.Get("Content-Type")
-	if _, err := parseNetlist(ct, body); err != nil {
+	if _, err := parseNetlist(ct, bytes.NewReader(body)); err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("netlist: %w", err))
 		return
 	}

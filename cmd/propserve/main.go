@@ -67,9 +67,9 @@
 //	GET  /debug/pprof/      CPU/heap/goroutine profiles (net/http/pprof)
 //
 // Multi-tenancy: requests carry an X-Tenant header (absent = the
-// "default" tenant). Async and batch work is dispatched deficit-round-
-// robin across tenants by -sched-workers slots, so one tenant's flood
-// cannot starve another; -tenant-rate/-tenant-burst add a per-tenant
+// "default" tenant). Async and batch work is dispatched round robin
+// across tenants by -sched-workers slots, so one tenant's flood cannot
+// starve another; -tenant-rate/-tenant-burst add a per-tenant
 // token-bucket admission quota answered with 429 when exceeded. Request
 // bodies larger than -max-body are refused with 413.
 //

@@ -480,30 +480,23 @@ func (s *server) decodeQueryValues(q map[string][]string) (*partitionRequest, er
 	return req, nil
 }
 
-// parseNetlist decodes netlist bytes by content type: application/json
+// parseNetlist decodes a netlist by content type: application/json
 // selects the JSON netlist format, anything else hMETIS .hgr text.
-func parseNetlist(contentType string, data []byte) (*prop.Netlist, error) {
+func parseNetlist(contentType string, r io.Reader) (*prop.Netlist, error) {
 	if strings.HasPrefix(contentType, "application/json") {
-		return prop.ReadJSON(bytes.NewReader(data))
+		return prop.ReadJSON(r)
 	}
-	return prop.ReadHGR(bytes.NewReader(data))
+	return prop.ReadHGR(r)
 }
 
-// decodeRequest parses query knobs and the netlist body. The body is the
-// netlist itself: application/json selects the JSON netlist format,
-// anything else is parsed as hMETIS .hgr text.
+// decodeRequest parses query knobs and the netlist body, streamed through
+// the body limit. The body is the netlist itself (see parseNetlist).
 func (s *server) decodeRequest(w http.ResponseWriter, r *http.Request) (*partitionRequest, error) {
 	req, err := s.decodeQuery(r)
 	if err != nil {
 		return nil, err
 	}
-	body := s.limitBody(w, r)
-	ct := r.Header.Get("Content-Type")
-	if strings.HasPrefix(ct, "application/json") {
-		req.netlist, err = prop.ReadJSON(body)
-	} else {
-		req.netlist, err = prop.ReadHGR(body)
-	}
+	req.netlist, err = parseNetlist(r.Header.Get("Content-Type"), s.limitBody(w, r))
 	if err != nil {
 		return nil, fmt.Errorf("netlist: %w", err)
 	}
@@ -676,7 +669,7 @@ func (s *server) baseFromStore(id string) (*prop.Netlist, []uint8, error) {
 	if len(res.Sides) == 0 {
 		return nil, nil, fmt.Errorf("base job %q has no 2-way sides (k=%d)", id, res.K)
 	}
-	nl, err := parseNetlist(pl.ContentType, pl.Body)
+	nl, err := parseNetlist(pl.ContentType, bytes.NewReader(pl.Body))
 	if err != nil {
 		return nil, nil, fmt.Errorf("base job %q netlist: %w", id, err)
 	}

@@ -1,6 +1,9 @@
 // Command tracestat summarizes a propart/propserve JSONL trace file into
 // the run report (internal/obs/report): per-phase wall-time tree, top-N
-// phases, pass convergence curve, and move/flow rates.
+// phases, pass convergence curve, and move/flow rates. It also validates
+// the trace against the schema in internal/obs: after printing the
+// report it exits 1, naming the first offending line, when the trace is
+// invalid.
 //
 //	tracestat [-top N] [-json] trace.jsonl
 //
@@ -26,15 +29,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: tracestat [-top N] [-json] trace.jsonl")
 		os.Exit(2)
 	}
-	rep := mustRead(flag.Arg(0))
+	path := flag.Arg(0)
+	rep := mustRead(path)
 	var err error
-	if *jsonOut {
+	switch {
+	case rep.Events == 0:
+		// Nothing to report; such a trace always has a violation.
+	case *jsonOut:
 		err = report.WriteJSON(os.Stdout, rep)
-	} else {
+	default:
 		err = report.WriteText(os.Stdout, rep, *top)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracestat: %v\n", err)
+		os.Exit(1)
+	}
+	if rep.Violation != "" {
+		fmt.Fprintf(os.Stderr, "tracestat: %s: invalid trace: %s\n", path, rep.Violation)
 		os.Exit(1)
 	}
 }
@@ -54,10 +65,6 @@ func mustRead(path string) *report.RunReport {
 	rep, err := report.Read(r)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracestat: %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	if rep.Events == 0 {
-		fmt.Fprintf(os.Stderr, "tracestat: %s: empty trace\n", path)
 		os.Exit(1)
 	}
 	return rep

@@ -45,15 +45,6 @@ func (l *PairLoop) Algo() string { return l.Pol.Algo() }
 // Cut implements PassRunner.
 func (l *PairLoop) Cut() float64 { return l.Pol.Cut() }
 
-// FillPass forwards trace-event decoration to the policy when it
-// implements PassFiller.
-func (l *PairLoop) FillPass(ev obs.Pass) obs.Pass {
-	if f, ok := l.Pol.(PassFiller); ok {
-		return f.FillPass(ev)
-	}
-	return ev
-}
-
 // RunPass implements PassRunner for pair swaps.
 func (l *PairLoop) RunPass() (float64, int, int) {
 	l.Pol.BeginPass()

@@ -10,7 +10,8 @@
 // disabled state and every emission site guards with the nil-safe
 // PassEnabled/MoveEnabled/RunEnabled predicates, so the disabled hot path
 // is a single predicated branch — no closures, no allocations
-// (TestEmitPassNilTracerZeroAllocs pins this).
+// (TestRunNilTracerZeroAllocs in internal/moves and
+// TestStartPhaseNilTracerZeroAllocs here pin this).
 //
 // # Trace schema
 //
@@ -55,8 +56,10 @@
 // index at a time, which holds for every engine path: parallel
 // portfolios give each run a distinct index.
 //
-// Fields marked ? are omitted when empty. cmd/tracecheck validates a
-// JSONL stream against this schema.
+// Fields marked ? are omitted when empty. Schema is the machine-readable
+// form of the required fields; internal/obs/report checks every line it
+// reads against it, and against the per-run ordering and nesting rules
+// above.
 package obs
 
 import (
@@ -69,6 +72,44 @@ import (
 	"sync/atomic"
 	"time"
 )
+
+// Schema lists the required fields per event kind and the JSON type (as
+// decoded by encoding/json) each must carry. Adding an event kind means
+// one entry here next to its encoder; TestEncodersMatchSchema emits every
+// kind and checks it against this table.
+var Schema = map[string]map[string]string{
+	"run_start": {"ts_us": "number", "ev": "string", "run": "number"},
+	"run_end":   {"ts_us": "number", "ev": "string", "run": "number", "dur_us": "number"},
+	"pass": {
+		"ts_us": "number", "ev": "string", "run": "number", "algo": "string",
+		"pass": "number", "cut": "number", "gmax": "number",
+		"moves": "number", "kept": "number", "locked": "number", "dur_us": "number",
+	},
+	"move": {
+		"ts_us": "number", "ev": "string", "run": "number",
+		"pass": "number", "node": "number", "gain": "number",
+	},
+	"flow": {
+		"ts_us": "number", "ev": "string", "run": "number",
+		"round": "number", "boundary": "number", "corridor": "number",
+		"nets": "number", "flow": "number", "cut_before": "number",
+		"cut_after": "number", "adopted": "number", "dur_us": "number",
+	},
+	"delta_apply": {
+		"ts_us": "number", "ev": "string", "run": "number",
+		"structural": "number", "nodes": "number", "nets": "number",
+		"collapsed": "number", "dur_us": "number",
+	},
+	"phase_start": {
+		"ts_us": "number", "ev": "string", "run": "number",
+		"name": "string", "depth": "number", "level": "number",
+	},
+	"phase": {
+		"ts_us": "number", "ev": "string", "run": "number",
+		"name": "string", "depth": "number", "level": "number",
+		"wall_us": "number",
+	},
+}
 
 // Level selects trace granularity. Each level includes the ones below it.
 type Level int32
@@ -406,10 +447,6 @@ type PhaseSpan struct {
 	depth int
 	level int
 }
-
-// PhaseEnabled reports whether phase spans should be emitted. Nil-safe.
-// Like delta_apply, phases are recorded at every trace level.
-func (t *Tracer) PhaseEnabled() bool { return t != nil }
 
 // StartPhase opens a phase span for run. It records a phase_start event
 // and returns a span whose End records the matching phase event. Nil-safe:

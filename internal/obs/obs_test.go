@@ -82,9 +82,54 @@ func TestEventEncoding(t *testing.T) {
 	}
 }
 
+// TestEncodersMatchSchema emits one event of every kind and checks each
+// line against Schema, so an encoder and the table cannot drift apart:
+// every required field is present with its JSON type, and every kind in
+// the table has an encoder.
+func TestEncodersMatchSchema(t *testing.T) {
+	var sb strings.Builder
+	tr := New(&sb, LevelMove)
+	tr.EmitDeltaApply(DeltaApply{Structural: true, Nodes: 5, Nets: 4, Collapsed: 1, Dur: time.Microsecond})
+	tr.EmitRunStart(RunStart{Run: 1})
+	sp := tr.StartPhase(1, "prop")
+	tr.EmitPass(Pass{Algo: "prop", Run: 1, Cut: 3, Moves: 2, Kept: 1, Locked: 2})
+	tr.EmitMove(Move{Run: 1, Node: 2, Gain: -1})
+	tr.EmitFlowRound(FlowRound{Run: 1, CutBefore: 3, CutAfter: 2, Adopted: true})
+	sp.End()
+	tr.EmitRunEnd(RunEnd{Run: 1, Dur: time.Millisecond})
+
+	seen := map[string]bool{}
+	for i, m := range decodeLines(t, sb.String()) {
+		kind, _ := m["ev"].(string)
+		want, ok := Schema[kind]
+		if !ok {
+			t.Errorf("line %d: kind %q is not in Schema", i+1, kind)
+			continue
+		}
+		seen[kind] = true
+		for field, typ := range want {
+			ok := false
+			switch typ {
+			case "number":
+				_, ok = m[field].(float64)
+			case "string":
+				_, ok = m[field].(string)
+			}
+			if !ok {
+				t.Errorf("%s event field %q = %#v, want a %s", kind, field, m[field], typ)
+			}
+		}
+	}
+	for kind := range Schema {
+		if !seen[kind] {
+			t.Errorf("no encoder emitted a %q event", kind)
+		}
+	}
+}
+
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.RunEnabled() || tr.PassEnabled() || tr.MoveEnabled() || tr.PhaseEnabled() {
+	if tr.RunEnabled() || tr.PassEnabled() || tr.MoveEnabled() {
 		t.Error("nil tracer reports enabled")
 	}
 	if tr.Events() != 0 || tr.Err() != nil {
@@ -149,8 +194,8 @@ func TestPhaseEncoding(t *testing.T) {
 }
 
 // TestStartPhaseNilTracerZeroAllocs pins the disabled-path contract for
-// the phase emitters, matching TestEmitPassNilTracerZeroAllocs in
-// internal/core: a nil tracer must cost zero allocations per span.
+// the phase emitters, matching TestRunNilTracerZeroAllocs in
+// internal/moves: a nil tracer must cost zero allocations per span.
 func TestStartPhaseNilTracerZeroAllocs(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -8,16 +8,21 @@
 //
 // Read is tolerant of truncated or mildly malformed streams — it counts
 // anomalies in Malformed instead of failing — because reports are often
-// wanted exactly when a run died mid-trace. cmd/tracecheck remains the
-// strict schema validator.
+// wanted exactly when a run died mid-trace. It is also the trace schema's
+// validator: it checks every line against obs.Schema and the per-run
+// ordering and span-nesting rules while it aggregates, and keeps the
+// first violation in Violation.
 package report
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+
+	"prop/internal/obs"
 )
 
 // event is the union of every trace event's fields; kind-specific fields
@@ -145,22 +150,35 @@ type RunReport struct {
 	// Malformed counts events that could not be folded in (unparseable
 	// lines, phase ends with no matching start, name mismatches).
 	Malformed int `json:"malformed,omitempty"`
+	// Violation is the first place the stream breaks the trace schema,
+	// as "line N: ..." or "end of trace after line N: ...", and empty for
+	// a valid trace.
+	Violation string `json:"violation,omitempty"`
 }
 
 // Read consumes a JSONL trace stream and aggregates it. It never fails on
 // malformed individual lines (counted in Malformed); only a reader error
-// is returned.
+// is returned. It also checks the stream against the trace schema — each
+// line against obs.Schema, then per-run timestamp order, phase nesting
+// and run balance — and records the first violation in Violation.
 func Read(r io.Reader) (*RunReport, error) {
 	rep := &RunReport{}
+	violate := func(format string, args ...any) {
+		if rep.Violation == "" {
+			rep.Violation = fmt.Sprintf(format, args...)
+		}
+	}
 	root := &PhaseNode{}
 	// Per-run span stack: the path into the shared tree plus the name the
-	// matching end event must carry.
+	// matching end event must carry. Until the first violation a frame's
+	// index in the stack is its span's depth.
 	type frame struct {
 		node *PhaseNode
 		name string
 	}
 	stacks := make(map[int][]frame)
-	runs := make(map[int]struct{})
+	runTS := make(map[int]int64) // last ts_us per run: the runs seen, and the order check
+	starts, ends := 0, 0
 
 	type passAgg struct {
 		runs int
@@ -174,16 +192,24 @@ func Read(r io.Reader) (*RunReport, error) {
 	var firstTS, lastTS int64
 	first := true
 
+	lineNo := 0
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
 	for sc.Scan() {
+		lineNo++
 		line := sc.Bytes()
+		if rep.Violation == "" {
+			if msg := checkLine(line); msg != "" {
+				violate("line %d: %s", lineNo, msg)
+			}
+		}
 		if len(line) == 0 {
 			continue
 		}
 		var e event
 		if err := json.Unmarshal(line, &e); err != nil {
 			rep.Malformed++
+			violate("line %d: unreadable event: %v", lineNo, err)
 			continue
 		}
 		rep.Events++
@@ -193,27 +219,50 @@ func Read(r io.Reader) (*RunReport, error) {
 		if e.TS > lastTS {
 			lastTS = e.TS
 		}
-		runs[e.Run] = struct{}{}
+		// Runs of a parallel portfolio interleave, so timestamps are
+		// ordered per run, not globally.
+		if e.TS < 0 {
+			violate("line %d: negative ts_us %d", lineNo, e.TS)
+		}
+		if prev, seen := runTS[e.Run]; seen && e.TS < prev {
+			violate("line %d: run %d ts_us %d went backwards (prev %d)", lineNo, e.Run, e.TS, prev)
+		}
+		runTS[e.Run] = e.TS
 
 		switch e.Ev {
+		case "run_start":
+			starts++
 		case "run_end":
+			ends++
 			rep.RunWallUS += e.DurUS
 		case "phase_start":
+			st := stacks[e.Run]
+			if e.Depth != len(st) {
+				violate("line %d: run %d phase_start %q depth %d, want %d open spans",
+					lineNo, e.Run, e.Name, e.Depth, len(st))
+			}
 			parent := root
-			if st := stacks[e.Run]; len(st) > 0 {
+			if len(st) > 0 {
 				parent = st[len(st)-1].node
 			}
-			stacks[e.Run] = append(stacks[e.Run], frame{parent.child(e.Name), e.Name})
+			stacks[e.Run] = append(st, frame{parent.child(e.Name), e.Name})
 		case "phase":
 			st := stacks[e.Run]
-			if len(st) == 0 || st[len(st)-1].name != e.Name {
+			top := len(st) - 1 // the innermost open span, at depth top
+			if top < 0 {
+				violate("line %d: run %d phase %q ends with no open span", lineNo, e.Run, e.Name)
+			} else if st[top].name != e.Name || e.Depth != top {
+				violate("line %d: run %d phase %q/depth %d ends, but %q/depth %d is open",
+					lineNo, e.Run, e.Name, e.Depth, st[top].name, top)
+			}
+			if top < 0 || st[top].name != e.Name {
 				rep.Malformed++
 				continue
 			}
-			n := st[len(st)-1].node
-			stacks[e.Run] = st[:len(st)-1]
-			n.Count++
-			n.WallUS += e.WallUS
+			node := st[top].node
+			stacks[e.Run] = st[:top]
+			node.Count++
+			node.WallUS += e.WallUS
 		case "pass":
 			rep.Moves.Passes++
 			rep.Moves.Moves += e.Moves
@@ -252,11 +301,27 @@ func Read(r io.Reader) (*RunReport, error) {
 		return nil, fmt.Errorf("report: %w", err)
 	}
 
-	// Unclosed spans at EOF (crashed or truncated run) are malformed.
-	for _, st := range stacks {
-		rep.Malformed += len(st)
+	if lineNo == 0 {
+		violate("end of trace after line 0: no events")
 	}
-	rep.Runs = len(runs)
+	if starts != ends {
+		violate("end of trace after line %d: unbalanced run spans: %d run_start, %d run_end", lineNo, starts, ends)
+	}
+	// Unclosed spans at EOF (crashed or truncated run) are malformed. The
+	// violation names the lowest such run, so it reads the same every time.
+	openRun, open := 0, false
+	for run, st := range stacks {
+		rep.Malformed += len(st)
+		if len(st) > 0 && (!open || run < openRun) {
+			openRun, open = run, true
+		}
+	}
+	if open {
+		st := stacks[openRun]
+		violate("end of trace after line %d: run %d ends with %d unclosed phase span(s), first %q",
+			lineNo, openRun, len(st), st[0].name)
+	}
+	rep.Runs = len(runTS)
 	rep.SpanUS = lastTS - firstTS
 
 	sortTree(root)
@@ -306,6 +371,49 @@ func Read(r io.Reader) (*RunReport, error) {
 	return rep, nil
 }
 
+// checkLine checks one line against obs.Schema: a JSON object whose ev
+// is a known kind, carrying every field the kind requires with its JSON
+// type. It returns what is wrong, or "" for a valid line.
+func checkLine(line []byte) string {
+	if len(bytes.TrimSpace(line)) == 0 {
+		return "empty line"
+	}
+	var ev map[string]any
+	if err := json.Unmarshal(line, &ev); err != nil {
+		return fmt.Sprintf("invalid JSON: %v", err)
+	}
+	kind, _ := ev["ev"].(string)
+	want, ok := obs.Schema[kind]
+	if !ok {
+		return fmt.Sprintf("unknown event kind %q", kind)
+	}
+	for field, typ := range want {
+		v, present := ev[field]
+		if !present {
+			return fmt.Sprintf("%s event missing field %q", kind, field)
+		}
+		if got := jsonType(v); got != typ {
+			return fmt.Sprintf("%s event field %q is %s, want %s", kind, field, got, typ)
+		}
+	}
+	return ""
+}
+
+// jsonType names the JSON type of a value decoded by encoding/json.
+func jsonType(v any) string {
+	switch v.(type) {
+	case float64:
+		return "number"
+	case string:
+		return "string"
+	case bool:
+		return "bool"
+	case nil:
+		return "null"
+	}
+	return "object"
+}
+
 // WriteJSON renders the report as indented JSON.
 func WriteJSON(w io.Writer, rep *RunReport) error {
 	b, err := json.MarshalIndent(rep, "", "  ")
@@ -333,6 +441,9 @@ func WriteText(w io.Writer, rep *RunReport, topN int) error {
 		rep.Events, rep.Runs, ms(denom), rep.PhaseCoveragePct)
 	if rep.Malformed > 0 {
 		fmt.Fprintf(bw, "WARNING: %d malformed/unclosed events\n", rep.Malformed)
+	}
+	if rep.Violation != "" {
+		fmt.Fprintf(bw, "WARNING: invalid trace: %s\n", rep.Violation)
 	}
 
 	if len(rep.Phases) > 0 {

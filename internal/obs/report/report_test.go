@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"prop/internal/obs"
 )
 
 // goldenTrace is a hand-written industry2-style trace: two portfolio runs
@@ -168,6 +171,103 @@ func TestWriteTextAndJSON(t *testing.T) {
 	for _, want := range []string{`"phase_coverage_pct"`, `"best_so_far"`, `"adoption_rate_pct"`} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("json report missing %q", want)
+		}
+	}
+}
+
+// TestReadViolations feeds Read one small trace per schema rule and checks
+// that it names the first broken rule and its line. Two valid traces, the
+// hand-written golden and one from the real encoders holding every event
+// kind, must give none.
+func TestReadViolations(t *testing.T) {
+	const (
+		start = `{"ts_us":0,"ev":"run_start","run":0}`
+		end   = `{"ts_us":9,"ev":"run_end","run":0,"dur_us":9}`
+		open  = `{"ts_us":1,"ev":"phase_start","run":0,"name":"a","depth":0,"level":0}`
+		close = `{"ts_us":2,"ev":"phase","run":0,"name":"a","depth":0,"level":0,"wall_us":1}`
+		pass  = `{"ts_us":3,"ev":"pass","run":0,"algo":"prop","pass":0,"cut":5,"gmax":1,"moves":2,"kept":1,"locked":2,"dur_us":1}`
+	)
+	lines := func(ls ...string) string { return strings.Join(ls, "\n") + "\n" }
+	for _, tc := range []struct {
+		name, trace, want string
+	}{
+		{"empty line", lines(start, "", end), "line 2: empty line"},
+		{"blank line", lines(start, "  ", end), "line 2: empty line"},
+		{"not JSON", lines(start, "{not json", end), "line 2: invalid JSON"},
+		{"unknown kind", lines(start, `{"ts_us":1,"ev":"bogus","run":0}`, end), `line 2: unknown event kind "bogus"`},
+		{"missing field", lines(`{"ts_us":0,"ev":"run_start"}`, end), `line 1: run_start event missing field "run"`},
+		{"wrong type", lines(start, strings.Replace(pass, `"gmax":1`, `"gmax":"1"`, 1), end),
+			`line 2: pass event field "gmax" is string, want number`},
+		{"null field", lines(start, strings.Replace(pass, `"cut":5`, `"cut":null`, 1), end),
+			`line 2: pass event field "cut" is null, want number`},
+		{"unreadable optional field", lines(start, strings.Replace(pass, `"dur_us":1`, `"dur_us":1,"gain_evals":"7"`, 1), end),
+			"line 2: unreadable event"},
+		{"negative ts_us", lines(`{"ts_us":-1,"ev":"run_start","run":0}`, end), "line 1: negative ts_us -1"},
+		// Run 1 may start before run 0's last event; run 0 may not go back.
+		{"ts_us backwards in a run", lines(`{"ts_us":5,"ev":"run_start","run":0}`,
+			`{"ts_us":1,"ev":"run_start","run":1}`, `{"ts_us":4,"ev":"run_end","run":0,"dur_us":1}`,
+			`{"ts_us":6,"ev":"run_end","run":1,"dur_us":5}`), "line 3: run 0 ts_us 4 went backwards (prev 5)"},
+		{"phase_start depth", lines(start, open, open, end), `line 3: run 0 phase_start "a" depth 0, want 1 open spans`},
+		{"phase end without a span", lines(start, close, end), `line 2: run 0 phase "a" ends with no open span`},
+		{"phase end name", lines(start, open, strings.Replace(close, `"a"`, `"b"`, 1), end),
+			`line 3: run 0 phase "b"/depth 0 ends, but "a"/depth 0 is open`},
+		{"phase end depth", lines(start, open, strings.Replace(close, `"depth":0`, `"depth":1`, 1), end),
+			`line 3: run 0 phase "a"/depth 1 ends, but "a"/depth 0 is open`},
+		{"no events", "", "end of trace after line 0: no events"},
+		{"unbalanced runs", lines(start, pass), "end of trace after line 2: unbalanced run spans: 1 run_start, 0 run_end"},
+		{"open span", lines(start, open, pass, end),
+			`end of trace after line 4: run 0 ends with 1 unclosed phase span(s), first "a"`},
+		// Only the first violation is kept.
+		{"first wins", lines(start, "", "{not json"), "line 2: empty line"},
+	} {
+		rep, err := Read(strings.NewReader(tc.trace))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !strings.HasPrefix(rep.Violation, tc.want) {
+			t.Errorf("%s: violation %q, want %q", tc.name, rep.Violation, tc.want)
+		}
+		var sb strings.Builder
+		if err := WriteText(&sb, rep, 5); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), "WARNING: invalid trace: "+tc.want) {
+			t.Errorf("%s: text report lacks the violation:\n%s", tc.name, sb.String())
+		}
+	}
+
+	var encoded strings.Builder
+	tr := obs.New(&encoded, obs.LevelMove)
+	tr.EmitDeltaApply(obs.DeltaApply{Structural: true, Nodes: 5, Nets: 4, Dur: time.Microsecond})
+	for run := 0; run < 2; run++ {
+		tr.EmitRunStart(obs.RunStart{ID: "enc", Run: run})
+	}
+	for run := 0; run < 2; run++ {
+		outer := tr.StartPhase(run, "multilevel")
+		inner := tr.StartPhaseLevel(run, "prop", 1)
+		tr.EmitPass(obs.Pass{Algo: "prop", Run: run, Cut: 7, Moves: 2, Kept: 1, Locked: 2})
+		tr.EmitMove(obs.Move{Run: run, Node: 3, Gain: 1})
+		inner.End()
+		tr.EmitFlowRound(obs.FlowRound{Run: run, CutBefore: 7, CutAfter: 6, Adopted: true})
+		outer.End()
+	}
+	for run := 1; run >= 0; run-- {
+		tr.EmitRunEnd(obs.RunEnd{ID: "enc", Run: run, Dur: time.Millisecond})
+	}
+	for name, trace := range map[string]string{"golden": goldenTrace, "encoded": encoded.String()} {
+		rep, err := Read(strings.NewReader(trace))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Violation != "" || rep.Malformed != 0 {
+			t.Errorf("%s trace: violation %q, malformed %d", name, rep.Violation, rep.Malformed)
+		}
+		var sb strings.Builder
+		if err := WriteJSON(&sb, rep); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(sb.String(), "violation") {
+			t.Errorf("%s trace: JSON report names a violation:\n%s", name, sb.String())
 		}
 	}
 }

@@ -1,22 +1,20 @@
 // Package sched is propserve's fair-share dispatcher: a bounded worker
-// pool fed by per-tenant FIFO queues under deficit-round-robin selection,
-// with per-tenant token-bucket admission quotas in front of it.
+// pool fed by per-tenant FIFO queues under round-robin selection, with
+// per-tenant token-bucket admission quotas in front of it.
 //
 // Admission and dispatch are separate concerns. Admit is the quota gate:
 // each tenant owns a token bucket refilled at Config.Rate tokens/sec up
 // to Config.Burst, and a submission that finds the bucket empty is
 // rejected outright (the server answers 429). Enqueue is the fair-share
 // gate: admitted work joins its tenant's FIFO, and the workers pick the
-// next job by deficit round robin over the non-empty tenant queues — each
-// visit grants the head queue one quantum of credit, a job costs one
-// credit, and the queue rotates to the tail after being served. With
-// unit-cost jobs this degenerates to strict round robin across tenants,
-// which keeps the two invariants the server relies on: no tenant can
-// starve another regardless of how fast it submits (between two jobs of
-// one tenant, every other backlogged tenant is served at least once), and
-// the dispatch order is a pure function of the arrival order (with one
-// worker the execution order is too — determinism the crash-recovery
-// replay leans on).
+// next job by round robin over the non-empty tenant queues — the head
+// queue serves one job and rotates to the tail. That keeps the two
+// invariants the server relies on: no tenant can starve another
+// regardless of how fast it submits (between two jobs of one tenant,
+// every other backlogged tenant is served at least once), and the
+// dispatch order is a pure function of the arrival order (with one worker
+// the execution order is too — determinism the crash-recovery replay
+// leans on).
 //
 // The clock is injectable so quota tests can steer refill; the queue
 // depth hook feeds the server's per-tenant gauges without the scheduler
@@ -46,21 +44,11 @@ type Config struct {
 	OnQueueDepth func(tenant string, depth int)
 }
 
-// The DRR constants: every visit to the head queue grants one quantum of
-// credit and every job costs one, so a quantum always covers exactly one
-// job. Weighted tenants or sized jobs would change these two numbers and
-// nothing else.
-const (
-	drrQuantum = 1.0
-	drrJobCost = 1.0
-)
-
-// tenantQ is one tenant's FIFO plus its DRR bookkeeping.
+// tenantQ is one tenant's FIFO.
 type tenantQ struct {
-	name    string
-	fifo    []func()
-	deficit float64
-	queued  bool // in the active rotation
+	name   string
+	fifo   []func()
+	queued bool // in the active rotation
 }
 
 // bucket is one tenant's admission quota state.
@@ -77,7 +65,7 @@ type Scheduler struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queues  map[string]*tenantQ
-	active  []*tenantQ // non-empty queues, DRR rotation order
+	active  []*tenantQ // non-empty queues, round-robin order
 	buckets map[string]*bucket
 	pending int // enqueued + running jobs
 	closed  bool
@@ -177,17 +165,14 @@ func (s *Scheduler) next() (string, func(), bool) {
 		s.mu.Unlock()
 		return "", nil, false
 	}
-	// Deficit round robin, one job per call: the head queue earns one
-	// quantum, spends one credit per job, and rotates to the tail so every
-	// backlogged tenant is visited before it comes up again.
+	// Round robin, one job per call: the head queue serves one job and
+	// rotates to the tail so every backlogged tenant is visited before it
+	// comes up again.
 	q := s.active[0]
-	q.deficit += drrQuantum
 	fn := q.fifo[0]
 	q.fifo = q.fifo[1:]
-	q.deficit -= drrJobCost
 	if len(q.fifo) == 0 {
 		q.queued = false
-		q.deficit = 0
 		s.active = s.active[1:]
 	} else {
 		s.active = append(s.active[1:], q)

@@ -127,6 +127,24 @@ if [ -n "$kway" ]; then
 	exit 1
 fi
 
+echo "== trace reader guard =="
+# One trace reader: internal/obs/report decodes and validates the JSONL
+# trace against obs.Schema, and cmd/tracestat is its command. A
+# cmd/tracecheck, or an event-kind or timestamp literal in non-test Go
+# outside internal/obs/ and perfbench/, means a second trace reader came
+# back.
+readers=$({
+	[ ! -e cmd/tracecheck ] || echo "cmd/tracecheck exists"
+	grep -rnE --include='*.go' --exclude='*_test.go' \
+		'"(run_start|run_end|phase_start|delta_apply|ts_us)"' . |
+		grep -vE '^\./(internal/obs|perfbench)/'
+} || true)
+if [ -n "$readers" ]; then
+	echo "a second trace reader came back (read traces with internal/obs/report):" >&2
+	echo "$readers" >&2
+	exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -143,7 +161,7 @@ tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
 go run ./cmd/propart -suite balu -runs 2 -par 1 -q \
 	-trace "$tracedir/trace.jsonl" >"$tracedir/cut.txt"
-go run ./cmd/tracecheck "$tracedir/trace.jsonl"
+go run ./cmd/tracestat "$tracedir/trace.jsonl" >/dev/null
 go run ./cmd/propart -suite balu -runs 2 -par 1 -q >"$tracedir/cut_untraced.txt"
 if ! cmp -s "$tracedir/cut.txt" "$tracedir/cut_untraced.txt"; then
 	echo "trace smoke: traced cut differs from untraced cut" >&2
@@ -198,20 +216,18 @@ if [ "$flowcut" -gt "$propcut" ]; then
 fi
 go run ./cmd/propart -suite balu -check "$tracedir/balu_flow.sides" >/dev/null
 # A traced flow run must emit schema-valid events (pass + flow kinds).
+# Its report aggregates too: flow adoption rates plus the
+# corridor/expand/dinic/adopt phase tree.
 go run ./cmd/propart -suite balu -algo flow -runs 2 -par 1 -q \
 	-trace "$tracedir/flow_trace.jsonl" >/dev/null
-go run ./cmd/tracecheck "$tracedir/flow_trace.jsonl"
+go run ./cmd/tracestat -top 5 "$tracedir/flow_trace.jsonl" >/dev/null
 
 echo "== run-report smoke =="
 # Phase telemetry end to end: a traced multilevel run must pass the
-# phase-nesting validator and aggregate into a run report.
+# phase-nesting checks and aggregate into a run report.
 go run ./cmd/propart -suite balu -algo ml-prop -q \
 	-trace "$tracedir/ml_trace.jsonl" >/dev/null
-go run ./cmd/tracecheck "$tracedir/ml_trace.jsonl"
 go run ./cmd/tracestat -top 5 "$tracedir/ml_trace.jsonl"
-# The flow trace from the previous smoke aggregates too (flow adoption
-# rates plus the corridor/expand/dinic/adopt phase tree).
-go run ./cmd/tracestat -top 5 "$tracedir/flow_trace.jsonl" >/dev/null
 # propart -report prints the same aggregation to stderr after the run.
 go run ./cmd/propart -suite balu -algo ml-prop -q -report \
 	>/dev/null 2>"$tracedir/report.txt"
