@@ -142,8 +142,9 @@ func main() {
 			}
 			rep.Rows = append(rep.Rows, row)
 			if progress != nil {
-				fmt.Fprintf(progress, "scale row %d: cut=%g part=%.0fms rss=%.1fMB (%.2fx arena) check=%v\n",
-					n, row.CutCost, row.PartMillis, float64(row.PeakRSSBytes)/(1<<20), row.RSSOverArena, row.CheckOK)
+				fmt.Fprintf(progress, "scale row %d: cut=%g part=%.0fms (coarsen %.0f, initial %.0f, uncontract %.0f, refine %.0f, polish %.0f) rss=%.1fMB (%.2fx arena) check=%v\n",
+					n, row.CutCost, row.PartMillis, row.CoarsenMillis, row.InitialMillis, row.UncontractMillis,
+					row.RefineMillis, row.PolishMillis, float64(row.PeakRSSBytes)/(1<<20), row.RSSOverArena, row.CheckOK)
 			}
 		}
 		golden, worse, err := bench.RunScaleGolden(*seed, progress)

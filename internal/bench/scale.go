@@ -49,9 +49,17 @@ type ScaleRow struct {
 	// GenMillis and PartMillis split circuit synthesis from partitioning.
 	GenMillis  float64 `json:"gen_millis"`
 	PartMillis float64 `json:"part_millis"`
-	CutCost    float64 `json:"cut_cost"`
-	CutNets    int     `json:"cut_nets"`
-	Levels     int     `json:"levels"`
+	// The n-level phases' share of PartMillis (multilevel.NLevelTimes):
+	// coarsening, the coarsest level's partition, memento pops, localized
+	// refinement and full-level polish, each summed over cycles.
+	CoarsenMillis    float64 `json:"coarsen_millis"`
+	InitialMillis    float64 `json:"initial_millis"`
+	UncontractMillis float64 `json:"uncontract_millis"`
+	RefineMillis     float64 `json:"refine_millis"`
+	PolishMillis     float64 `json:"polish_millis"`
+	CutCost          float64 `json:"cut_cost"`
+	CutNets          int     `json:"cut_nets"`
+	Levels           int     `json:"levels"`
 	// PeakRSSBytes is VmHWM from /proc/self/status at the end of the row's
 	// subprocess — generation plus partitioning, whichever peaked higher.
 	PeakRSSBytes int64 `json:"peak_rss_bytes"`
@@ -158,6 +166,10 @@ func RunScaleRow(nodes int, seed int64) (ScaleRow, error) {
 		return ScaleRow{}, err
 	}
 	row.PartMillis = float64(time.Since(partStart).Microseconds()) / 1000
+	ph := res.NLevel
+	row.CoarsenMillis, row.InitialMillis = millis(ph.Coarsen), millis(ph.Initial)
+	row.UncontractMillis, row.RefineMillis = millis(ph.Uncontract), millis(ph.Refine)
+	row.PolishMillis = millis(ph.Polish)
 	row.CutCost = res.CutCost
 	row.CutNets = res.CutNets
 	row.Levels = res.Levels

@@ -20,6 +20,14 @@ package core
 // same bits. A net with a locked pin on each side is dead — it adds
 // exactly 0 to every pin's gain for the rest of the pass (Eqns. 5–6) — so
 // writes to it are not stamped.
+//
+// On dense graphs (average degree at least termCacheDegree: the coarse
+// levels of the multilevel hierarchies) the calculator also caches every
+// pin's gain term — Gain's summand for one net — beside the node→nets
+// CSR. RefreshTerms recomputes only the terms of nets stamped since a
+// node's gain was last computed and CachedGain re-sums them, which
+// returns Gain's bits: each term is a function of inputs whose every
+// write stamps that net (see RefreshTerms).
 import (
 	"prop/internal/partition"
 )
@@ -44,7 +52,22 @@ type Calculator struct {
 	// last write that touched net e while it was live.
 	clock uint64
 	stamp []uint64
+
+	// term[i] is the last computed gain term of node u on net
+	// NetsOf(u)[i - NetsOfOffset(u)], aligned with the node→nets arena.
+	// Only dense graphs keep it (termCacheDegree); nil otherwise.
+	term []float64
 }
+
+// termCacheDegree is the average degree (pins per node) from which a
+// Calculator keeps the per-pin term cache. Coarse hierarchy levels reach
+// degrees in the hundreds, where a gain refresh that re-walks every net
+// for one changed net is mostly waste; the Table 1 circuits (degree
+// 2.3–3.9) and the generated scale graphs (4.1) stay far below it and pay
+// nothing. At 8 the 100k scale row's two largest checkpoint levels
+// (10–14 pins per node) took the cache too: no faster, and 5% more peak
+// RSS for the 8 bytes per pin.
+const termCacheDegree = 16
 
 // NewCalculator creates a Calculator with no locked nodes and probabilities
 // all zero. Seed P (directly or via SetP after a Rebuild) before computing
@@ -62,6 +85,9 @@ func NewCalculator(b *partition.Bisection) *Calculator {
 	c.prod[0] = make([]float64, e)
 	c.prod[1] = make([]float64, e)
 	c.stamp = make([]uint64, e)
+	if h := b.H; h.NumPins() >= termCacheDegree*n {
+		c.term = make([]float64, h.NumPins())
+	}
 	c.Rebuild()
 	return c
 }
@@ -119,15 +145,16 @@ func (c *Calculator) touch(e int32) {
 
 // ResetLocks clears all locks (start of a pass) and rebuilds products.
 func (c *Calculator) ResetLocks() {
-	for i := range c.Locked {
-		c.Locked[i] = false
-	}
-	for s := 0; s < 2; s++ {
-		for i := range c.lockedPins[s] {
-			c.lockedPins[s][i] = 0
-		}
-	}
+	c.clearLocks()
 	c.Rebuild()
+}
+
+// clearLocks clears all locks and leaves the products stale: the caller
+// must Rebuild before the next gain.
+func (c *Calculator) clearLocks() {
+	clear(c.Locked)
+	clear(c.lockedPins[0])
+	clear(c.lockedPins[1])
 }
 
 // SetP changes the probability of node u, maintaining the side products of
@@ -281,7 +308,8 @@ func (c *Calculator) exactFreeProbExcluding(s uint8, e int, excluding int) float
 //	net uncut on u's side (Eqn. 4): −c(e)·(1 − p(n^{s→t}|u))
 //
 // The locked-net special cases (Eqns. 5 and 6) are subsumed: a locked pin
-// on a side zeroes that side's freeing probability.
+// on a side zeroes that side's freeing probability. The result is rounded
+// to float64 explicitly, as gainTerm rounds it.
 func (c *Calculator) NetGain(u, e int) float64 {
 	h := c.B.H
 	s := c.B.Side(u)
@@ -290,61 +318,127 @@ func (c *Calculator) NetGain(u, e int) float64 {
 	if c.B.PinCount(t, e) > 0 {
 		// Net in cutset: moving u helps complete the s→t evacuation and
 		// precludes the t→s one.
-		return cost * (c.FreeProb(s, e, u) - c.FreeProb(t, e, -1))
+		return float64(cost * (c.FreeProb(s, e, u) - c.FreeProb(t, e, -1)))
 	}
 	// Net entirely on side s: moving u throws it into the cutset unless all
 	// other pins follow.
-	return -cost * (1 - c.FreeProb(s, e, u))
+	return float64(-cost * (1 - c.FreeProb(s, e, u)))
 }
 
 // Gain returns the total probabilistic gain g(u) = Σ_{e ∋ u} g_e(u) in
 // Θ(deg(u)) using the cached products.
 //
 // The loop is the fusion of NetGain/FreeProb over u's CSR net list with
-// every per-net lookup hoisted to a slice local — the single hottest loop
+// every per-net lookup hoisted by termViews — the single hottest loop
 // of PROP (it runs for every node in every refinement sweep and for every
 // neighbor refresh after every move). The floating-point operations and
 // their order are exactly those of Σ NetGain(u, e), so the fused form is
 // bit-identical to the composed one (TestGainMatchesNetGainSum).
 func (c *Calculator) Gain(u int) float64 {
-	b := c.B
-	h := b.H
-	side := b.SideView()
-	s := side[u]
-	t := 1 - s
-	prodS, prodT := c.prod[s], c.prod[t]
-	lpS, lpT := c.lockedPins[s], c.lockedPins[t]
-	pcT := b.PinCountView(t)
-	costs := h.NetCosts()
-	pu := c.P[u]
-	lockedU := c.Locked[u]
 	var g float64
-	for _, e := range h.NetsOf(u) {
-		cost := costs[e]
-		// ps = FreeProb(s, e, u): u is on side s, so the exclusion applies
-		// whenever u is unlocked.
-		var ps float64
-		if lpS[e] == 0 {
-			ps = prodS[e]
-			if !lockedU {
-				if pu != 0 {
-					ps /= pu
-				} else {
-					ps = c.exactFreeProbExcluding(s, int(e), u)
-				}
-			}
+	if c.zeroP(u) {
+		for _, e := range c.B.H.NetsOf(u) {
+			g += c.NetGain(u, int(e))
 		}
-		if pcT[e] > 0 {
-			// Net in cutset: pt = FreeProb(t, e, -1).
-			var pt float64
-			if lpT[e] == 0 {
-				pt = prodT[e]
-			}
-			g += cost * (ps - pt)
-		} else {
-			// Net entirely on side s.
-			g += -cost * (1 - ps)
-		}
+		return g
+	}
+	costs, prodS, prodT, lpS, lpT, pcT, div := c.termViews(u)
+	for _, e := range c.B.H.NetsOf(u) {
+		g += gainTerm(e, costs, prodS, prodT, lpS, lpT, pcT, div)
 	}
 	return g
+}
+
+// TermsCached reports whether c keeps the per-pin term cache behind
+// RefreshTerms and CachedGain: whether its graph's average degree is at
+// least termCacheDegree.
+func (c *Calculator) TermsCached() bool { return c.term != nil }
+
+// RefreshTerms recomputes the cached terms of u's nets stamped after
+// clock value at and returns how many it recomputed; at = 0 recomputes
+// every term. Call it only when TermsCached. When every term of u was
+// current at clock at — the caller read Clock() right after u's previous
+// RefreshTerms, or passes 0 — every term of u is current afterwards, so
+// CachedGain(u) returns Gain(u) bit for bit. A term reads u's side, P and
+// lock and its net's cost, products, locked pins and pin count (plus the
+// side-s pins' P, locks and sides when P[u] is 0). Writes to any of those
+// stamp the net, except writes to a dead net: the write that kills it is
+// stamped before its lock count rises, and from then on its term is
+// cost·(0−0) = 0 exactly. u's side changes only by moving u, which locks
+// it; an unlocked node's terms are what the cache serves.
+func (c *Calculator) RefreshTerms(u int, at uint64) int {
+	h := c.B.H
+	term := c.term[h.NetsOfOffset(u):]
+	zero := c.zeroP(u)
+	costs, prodS, prodT, lpS, lpT, pcT, div := c.termViews(u)
+	n := 0
+	for i, e := range h.NetsOf(u) {
+		if c.stamp[e] <= at {
+			continue
+		}
+		if zero {
+			term[i] = c.NetGain(u, int(e))
+		} else {
+			term[i] = gainTerm(e, costs, prodS, prodT, lpS, lpT, pcT, div)
+		}
+		n++
+	}
+	return n
+}
+
+// CachedGain returns the sum of u's cached terms in CSR order: Gain(u)
+// bit for bit once RefreshTerms has made them current. Gain adds the same
+// float64 values in the same order from the same zero.
+func (c *Calculator) CachedGain(u int) float64 {
+	h := c.B.H
+	off := h.NetsOfOffset(u)
+	var g float64
+	for _, t := range c.term[off : off+h.Degree(u)] {
+		g += t
+	}
+	return g
+}
+
+// termViews hoists the per-net lookups of node u's gain terms out of the
+// net loop: the net costs, both sides' products, both sides' locked-pin
+// counts and the other side's pin counts, s being u's side and t the
+// other. div is P[u] when u is unlocked and 1 when it is locked, so
+// prodS/div is FreeProb(s, e, u) in both cases (x/1 is x exactly). An
+// unlocked u with P[u] = 0 cannot be divided out (zeroP); Gain and
+// RefreshTerms send it to NetGain, whose FreeProb recomputes the product
+// without u. The views come back as separate values, not a struct, so
+// that the loops keep them in registers.
+func (c *Calculator) termViews(u int) (costs, prodS, prodT []float64, lpS, lpT, pcT []int32, div float64) {
+	s := c.B.Side(u)
+	t := 1 - s
+	div = 1
+	if !c.Locked[u] {
+		div = c.P[u]
+	}
+	return c.B.H.NetCosts(), c.prod[s], c.prod[t], c.lockedPins[s], c.lockedPins[t], c.B.PinCountView(t), div
+}
+
+// zeroP reports whether u is unlocked with probability 0, the case
+// termViews cannot serve.
+func (c *Calculator) zeroP(u int) bool { return !c.Locked[u] && c.P[u] == 0 }
+
+// gainTerm returns NetGain(u, e) from u's termViews. The explicit float64
+// conversions round each product before the caller adds it, so no
+// platform may fuse the multiply into that addition: Gain and the cached
+// sum must add identical values.
+func gainTerm(e int32, costs, prodS, prodT []float64, lpS, lpT, pcT []int32, div float64) float64 {
+	var ps float64 // FreeProb(s, e, u)
+	if lpS[e] == 0 {
+		ps = prodS[e] / div
+	}
+	if pcT[e] > 0 {
+		// Net in cutset: pt = FreeProb(t, e, -1).
+		var pt float64
+		if lpT[e] == 0 {
+			pt = prodT[e]
+		}
+		return float64(costs[e] * (ps - pt))
+	}
+	// Net entirely on side s.
+	return float64(-costs[e] * (1 - ps))
 }

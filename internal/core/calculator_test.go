@@ -194,13 +194,17 @@ func TestGainMatchesNetGainSum(t *testing.T) {
 }
 
 // FuzzCalculatorStamps pins the change-stamp contract the PROP pass engine
-// relies on to skip refreshes. Each op is three bytes: kind, node, and a
-// probability code. The ops are SetP (zero probabilities included), a bulk
-// P write followed by RebuildNet on every net of the node (the refine
-// path), MoveLock, Lock, RebuildNet and Rebuild. A node's gain is recorded
-// together with the clock it was computed at, as refreshNode does. After
-// every op, each node whose nets carry no newer stamp must still have that
-// gain, bit for bit.
+// relies on to skip refreshes, and the term cache built on it. Each op is
+// three bytes: kind, node, and a probability code. The ops are SetP (zero
+// probabilities included), a bulk P write followed by RebuildNet on every
+// net of the node (the refine path), MoveLock, Lock, RebuildNet and
+// Rebuild. They run on a sparse graph and on a dense one (average degree
+// above termCacheDegree). A node's gain is recorded together with the
+// clock it was computed at, as refreshNode does. After every op, each
+// node whose nets carry no newer stamp must still have that gain, bit for
+// bit; and on the dense graph every unlocked node's terms, refreshed for
+// the nets stamped since its previous refresh, must sum to Gain bit for
+// bit.
 func FuzzCalculatorStamps(f *testing.F) {
 	f.Add(int64(1), []byte{2, 3, 0, 2, 9, 0, 0, 4, 5, 2, 17, 0, 0, 9, 1, 3, 22, 0, 0, 30, 6, 5, 0, 0})
 	f.Add(int64(2), []byte{0, 1, 0, 0, 2, 0, 2, 1, 0, 3, 2, 0, 1, 5, 3, 0, 6, 2, 4, 7, 0, 2, 8, 0, 0, 9, 4})
@@ -212,53 +216,80 @@ func FuzzCalculatorStamps(f *testing.F) {
 		if len(ops) > 3*200 {
 			ops = ops[:3*200]
 		}
-		c := randomCalc(t, 40, 48, 150, seed)
-		h := c.B.H
-		n := h.NumNodes()
-		gain := make([]float64, n)
-		at := make([]uint64, n)
-		record := func(u int) {
-			at[u] = c.Clock()
-			gain[u] = c.Gain(u)
+		sparse := randomCalc(t, 40, 48, 150, seed)
+		dense := randomCalc(t, 12, 40, 240, seed)
+		if sparse.TermsCached() || !dense.TermsCached() {
+			t.Fatalf("term cache on the sparse graph %v, on the dense graph %v",
+				sparse.TermsCached(), dense.TermsCached())
 		}
-		for u := 0; u < n; u++ {
+		checkStamps(t, sparse, ops)
+		checkStamps(t, dense, ops)
+	})
+}
+
+// checkStamps applies FuzzCalculatorStamps's ops to c and checks the
+// recorded gains, and the term cache when c keeps one, after each.
+func checkStamps(t *testing.T, c *core.Calculator, ops []byte) {
+	t.Helper()
+	h := c.B.H
+	n := h.NumNodes()
+	gain := make([]float64, n)
+	at := make([]uint64, n)
+	record := func(u int) {
+		at[u] = c.Clock()
+		gain[u] = c.Gain(u)
+	}
+	termsAt := make([]uint64, n) // 0: every term is stale
+	for u := 0; u < n; u++ {
+		record(u)
+	}
+	for i := 0; i+3 <= len(ops); i += 3 {
+		u := int(ops[i+1]) % n
+		p := float64(ops[i+2]%5) / 4 // 0, .25, .5, .75, 1
+		switch ops[i] % 8 {
+		case 0, 1:
+			c.SetP(u, p)
+		case 2:
+			if !c.Locked[u] {
+				c.MoveLock(u)
+			}
+		case 3:
+			c.Lock(u)
+		case 4:
+			if !c.Locked[u] {
+				c.P[u] = p
+				for _, e := range h.NetsOf(u) {
+					c.RebuildNet(int(e))
+				}
+			}
+		case 5:
+			c.RebuildNet(int(ops[i+1]) % h.NumNets())
+		case 6:
+			c.Rebuild()
+		case 7:
 			record(u)
 		}
-		for i := 0; i+3 <= len(ops); i += 3 {
-			u := int(ops[i+1]) % n
-			p := float64(ops[i+2]%5) / 4 // 0, .25, .5, .75, 1
-			switch ops[i] % 8 {
-			case 0, 1:
-				c.SetP(u, p)
-			case 2:
-				if !c.Locked[u] {
-					c.MoveLock(u)
-				}
-			case 3:
-				c.Lock(u)
-			case 4:
-				if !c.Locked[u] {
-					c.P[u] = p
-					for _, e := range h.NetsOf(u) {
-						c.RebuildNet(int(e))
-					}
-				}
-			case 5:
-				c.RebuildNet(int(ops[i+1]) % h.NumNets())
-			case 6:
-				c.Rebuild()
-			case 7:
-				record(u)
+		for v := 0; v < n; v++ {
+			if c.Changed(v, at[v]) {
+				continue
 			}
-			for v := 0; v < n; v++ {
-				if c.Changed(v, at[v]) {
-					continue
-				}
-				if g := c.Gain(v); math.Float64bits(g) != math.Float64bits(gain[v]) {
-					t.Fatalf("op %d: node %d unchanged since clock %d, but Gain = %v, recorded %v",
-						i/3, v, at[v], g, gain[v])
-				}
+			if g := c.Gain(v); math.Float64bits(g) != math.Float64bits(gain[v]) {
+				t.Fatalf("op %d: node %d unchanged since clock %d, but Gain = %v, recorded %v",
+					i/3, v, at[v], g, gain[v])
 			}
 		}
-	})
+		if !c.TermsCached() {
+			continue
+		}
+		for v := 0; v < n; v++ {
+			if c.Locked[v] {
+				continue
+			}
+			c.RefreshTerms(v, termsAt[v])
+			termsAt[v] = c.Clock()
+			if g, want := c.CachedGain(v), c.Gain(v); math.Float64bits(g) != math.Float64bits(want) {
+				t.Fatalf("op %d: node %d cached gain %v, Gain %v", i/3, v, g, want)
+			}
+		}
+	}
 }

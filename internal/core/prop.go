@@ -56,6 +56,8 @@ type passStats struct {
 	sweepWallNS int64 // wall clock of the refinement sweeps
 	refreshes   int   // in-pass gain refreshes requested (neighbors + top K)
 	stampSkips  int   // refreshes skipped because no net of the node changed
+	gainNets    int   // nets walked by gain evaluations (sweeps + refreshes)
+	gainTerms   int   // per-net gain terms those evaluations recomputed
 	moves       int   // virtual moves made
 	kept        int   // moves kept after maximum-prefix rollback
 }
@@ -71,7 +73,7 @@ type passEngine struct {
 	nbrScratch []bool
 	nbrBuf     []int32
 	topBuf     []int
-	heaps      [2]*ds.GainHeap
+	heaps      [2]*ds.GainHeap // refilled at every pass start
 	l          *moves.Loop
 
 	// ps carries the current pass's observability counters.
@@ -95,6 +97,7 @@ func newPassEngine(b *partition.Bisection, cfg Config) *passEngine {
 		gain:       make([]float64, n),
 		gainAt:     make([]uint64, n),
 		nbrScratch: make([]bool, n),
+		heaps:      [2]*ds.GainHeap{ds.NewGainHeap(n), ds.NewGainHeap(n)},
 		dirtyNet:   make([]bool, b.H.NumNets()),
 	}
 }
@@ -121,6 +124,8 @@ func (e *passEngine) FillPass(ev obs.Pass) obs.Pass {
 	ev.Refreshes = e.ps.refreshes
 	ev.GainEvals = e.ps.swept + e.ps.refreshes - e.ps.stampSkips
 	ev.StampSkips = e.ps.stampSkips
+	ev.GainNets = e.ps.gainNets
+	ev.GainTerms = e.ps.gainTerms
 	return ev
 }
 
@@ -140,24 +145,60 @@ func (e *passEngine) seedProbabilities() {
 	e.calc.Rebuild()
 }
 
-// sweepGains recomputes e.gain[u] = calc.Gain(u), recording the clock
-// each gain reflects: for every node when all is set, otherwise for the
-// nodes with a net stamped since their gain was computed. The sweep wall
-// clock is recorded in e.ps — two time.Now calls per sweep, feeding the
-// pass event's sweep_wall_us.
+// sweepGains recomputes e.gain[u]: for every node when all is set,
+// otherwise for the nodes with a net stamped since their gain was
+// computed. The sweep wall clock is recorded in e.ps — two time.Now
+// calls per sweep, feeding the pass event's sweep_wall_us.
 func (e *passEngine) sweepGains(all bool) {
 	n := e.b.H.NumNodes()
 	start := time.Now()
-	calc := e.calc
-	at := calc.Clock()
 	for u := 0; u < n; u++ {
-		if all || calc.Changed(u, e.gainAt[u]) {
-			e.gain[u] = calc.Gain(u)
-			e.gainAt[u] = at
+		if g, ok := e.regain(u, all); ok {
+			e.gain[u] = g
 			e.ps.swept++
 		}
 	}
 	e.ps.sweepWallNS += time.Since(start).Nanoseconds()
+}
+
+// regain returns u's current gain and true, recording the clock it
+// reflects, or false when no net of u was stamped since gain[u] was
+// computed: then Gain(u) would return gain[u] bit for bit. With all set
+// it evaluates u whatever the stamps say. Either way an evaluation walks
+// u's nets (gainNets) and recomputes some of their terms (gainTerms): all
+// of them here, only the stamped ones through the term cache.
+func (e *passEngine) regain(u int, all bool) (float64, bool) {
+	calc := e.calc
+	if calc.TermsCached() {
+		return e.regainCached(u, all)
+	}
+	if !all && !calc.Changed(u, e.gainAt[u]) {
+		return 0, false
+	}
+	deg := e.b.H.Degree(u)
+	e.ps.gainNets += deg
+	e.ps.gainTerms += deg
+	e.gainAt[u] = calc.Clock()
+	return calc.Gain(u), true
+}
+
+// regainCached is regain on a graph with the term cache: it recomputes
+// only the stamped nets' terms and re-sums u's terms, which equals
+// Gain(u) bit for bit (Calculator.RefreshTerms).
+func (e *passEngine) regainCached(u int, all bool) (float64, bool) {
+	calc := e.calc
+	at := e.gainAt[u]
+	if all {
+		at = 0 // every net's stamp is later
+	}
+	n := calc.RefreshTerms(u, at)
+	if n == 0 && !all {
+		return 0, false
+	}
+	e.ps.gainNets += e.b.H.Degree(u)
+	e.ps.gainTerms += n
+	e.gainAt[u] = calc.Clock()
+	return calc.CachedGain(u), true
 }
 
 // refine implements step 4 of Fig. 2: alternate full gain computation
@@ -168,10 +209,10 @@ func (e *passEngine) sweepGains(all bool) {
 // The first iteration sweeps every node. Each iteration rebuilds only the
 // dirty nets' side products instead of a full O(m) Rebuild, and the next
 // one re-sweeps only the pins of those nets: RebuildNet stamps each net it
-// rebuilds, and no net is dead during refine (ResetLocks has just run), so
-// calc.Changed picks out exactly those pins — a node's gain depends only
-// on its own probability and its nets' products, and its own P change
-// dirties its nets. Both reductions are exact, so refine produces
+// rebuilds, and no net is dead during refine (BeginPass has just cleared
+// every lock), so the stamps pick out exactly those pins — a node's gain
+// depends only on its own probability and its nets' products, and its own
+// P change dirties its nets. Both reductions are exact, so refine produces
 // bit-identical gains and probabilities to the full-resweep/full-rebuild
 // formulation (TestRefineMatchesReference).
 func (e *passEngine) refine() {
@@ -232,15 +273,18 @@ func (e *passEngine) Key(u int) float64 { return e.gain[u] }
 
 // BeginPass implements moves.NodePolicy — steps 3–4 of Fig. 2: reset the
 // pass counters and locks, seed probabilities, run the gain↔probability
-// refinement, then fill one gain heap per side for selection.
+// refinement, then refill one gain heap per side for selection. Seeding
+// rebuilds every product, so clearing the locks needs no rebuild of its
+// own.
 func (e *passEngine) BeginPass() [2]moves.Container {
 	n := e.b.H.NumNodes()
 	e.ps.reset()
-	e.calc.ResetLocks()
+	e.calc.clearLocks()
 	e.seedProbabilities()
 	e.refine()
 
-	e.heaps = [2]*ds.GainHeap{ds.NewGainHeap(n), ds.NewGainHeap(n)}
+	e.heaps[0].Clear()
+	e.heaps[1].Clear()
 	for u := 0; u < n; u++ {
 		e.heaps[e.b.Side(u)].Insert(u, e.gain[u])
 	}
@@ -309,17 +353,15 @@ func (e *passEngine) updateAfterMove(u int) {
 // Gain(v) would return gain[v] bit for bit, so the refresh is skipped.
 func (e *passEngine) refreshNode(v int) {
 	e.ps.refreshes++
-	calc := e.calc
-	if !calc.Changed(v, e.gainAt[v]) {
+	g, ok := e.regain(v, false)
+	if !ok {
 		e.ps.stampSkips++
 		return
 	}
-	e.gainAt[v] = calc.Clock()
-	g := calc.Gain(v)
 	if g == e.gain[v] {
 		return
 	}
 	e.gain[v] = g
-	calc.SetP(v, e.cfg.Probability(g))
+	e.calc.SetP(v, e.cfg.Probability(g))
 	e.heaps[e.b.Side(v)].Insert(v, g) // reinsert: in-place keyed update
 }

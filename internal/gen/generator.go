@@ -154,12 +154,20 @@ func Generate(p Params) (*hypergraph.Hypergraph, error) {
 	}
 
 	b := hypergraph.NewBuilder()
+	b.Reserve(p.Nodes, p.Nets, p.Pins)
 	b.EnsureNodes(p.Nodes)
 	degree := make([]int, p.Nodes)
 	seen := make(map[int]bool, maxNetSize)
 	type window struct{ lo, hi int }
 	wins := make([]window, p.Nets)
 	allPins := make([][]int, p.Nets)
+	// Every net's pins are carved from one arena: net i never holds more
+	// than sizes[i] pins.
+	total := 0
+	for _, q := range sizes {
+		total += q
+	}
+	arena := make([]int, total)
 	// Geometric spread with the given mean: P(extra ≥ k+1 | ≥ k) = ρ.
 	rho := p.MeanSpread / (p.MeanSpread + 1)
 	// Second, independent ordering for cross nets.
@@ -170,7 +178,8 @@ func Generate(p Params) (*hypergraph.Hypergraph, error) {
 		for k := range seen {
 			delete(seen, k)
 		}
-		pins := make([]int, 0, q)
+		pins := arena[:0:q]
+		arena = arena[q:]
 		var lo, hi int
 		if i < nHubs {
 			// Global hub net: pins uniform over the whole circuit.

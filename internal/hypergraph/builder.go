@@ -18,7 +18,7 @@ import (
 // can never be cut, which matches how partitioning benchmarks are prepared.
 type Builder struct {
 	// Name slices are materialized lazily: an all-unnamed netlist (every
-	// generated circuit) keeps both nil, which at a million nodes avoids
+	// scale circuit) keeps both nil, which at a million nodes avoids
 	// 16 bytes of string header per element for names that are all "".
 	// nodeWeight/netCost are the authoritative node/net counters.
 	nodeNames  []string
@@ -42,7 +42,8 @@ func NewBuilder() *Builder { return &Builder{netOff: make([]int32, 1)} }
 // no append in AddNode/AddNet ever reallocates, which both removes the
 // transient 2× peak of slice doubling and keeps Build zero-copy on the pin
 // arena — the difference between fitting a million-node netlist in ~1× its
-// CSR footprint and paying ~3× while building it. Growing past a
+// CSR footprint and paying ~3× while building it. The first node or net
+// name sizes its name table to the same reservation. Growing past a
 // reservation is still legal, it just reintroduces doubling.
 func (b *Builder) Reserve(nodes, nets, pins int) {
 	b.nodeWeight = slices.Grow(b.nodeWeight, nodes)
@@ -67,6 +68,9 @@ func (b *Builder) AddNode(name string, weight int64) int {
 	}
 	b.nodeWeight = append(b.nodeWeight, weight)
 	if name != "" {
+		if b.nodeNames == nil {
+			b.nodeNames = make([]string, 0, cap(b.nodeWeight))
+		}
 		for len(b.nodeNames) < len(b.nodeWeight)-1 {
 			b.nodeNames = append(b.nodeNames, "")
 		}
@@ -143,6 +147,9 @@ func (b *Builder) addNet(name string, cost float64, pins []int, pins32 []int32) 
 	b.EnsureNodes(int(b.flatPins[uniq-1]) + 1)
 	b.netCost = append(b.netCost, cost)
 	if name != "" {
+		if b.netNames == nil {
+			b.netNames = make([]string, 0, cap(b.netCost))
+		}
 		for len(b.netNames) < len(b.netCost)-1 {
 			b.netNames = append(b.netNames, "")
 		}

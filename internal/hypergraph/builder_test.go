@@ -25,6 +25,31 @@ func TestBuilderReserveNoRealloc(t *testing.T) {
 	}
 }
 
+// TestBuilderReservedNamesNoRealloc: the first name sizes its name table
+// to the reservation, so naming every node and net never regrows it, and
+// an unnamed prefix still reads as "".
+func TestBuilderReservedNamesNoRealloc(t *testing.T) {
+	b := NewBuilder()
+	b.Reserve(5, 3, 8)
+	b.AddNode("", 1)
+	for _, name := range []string{"b", "c", "d", "e"} {
+		b.AddNode(name, 1)
+	}
+	for e, name := range []string{"", "y", "z"} {
+		if err := b.AddNet(name, 1, e, e+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(b.nodeNames) != cap(b.nodeWeight) || cap(b.netNames) != cap(b.netCost) {
+		t.Fatalf("name tables have cap %d and %d, want the reservation's %d and %d",
+			cap(b.nodeNames), cap(b.netNames), cap(b.nodeWeight), cap(b.netCost))
+	}
+	h := b.MustBuild()
+	if h.NodeName(0) != "" || h.NodeName(4) != "e" || h.NetName(0) != "" || h.NetName(2) != "z" {
+		t.Fatalf("names %q %q %q %q", h.NodeName(0), h.NodeName(4), h.NetName(0), h.NetName(2))
+	}
+}
+
 func TestBuilderDuplicatePinsMergedByDefault(t *testing.T) {
 	b := NewBuilder()
 	if err := b.AddNet("d", 1, 3, 1, 3, 2, 1); err != nil {

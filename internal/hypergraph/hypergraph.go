@@ -56,6 +56,11 @@ func (h *Hypergraph) Net(e int) []int32 { return h.pinArr[h.netOff[e]:h.netOff[e
 // shared net arena. The caller must not modify the returned slice.
 func (h *Hypergraph) NetsOf(u int) []int32 { return h.netArr[h.nodeOff[u]:h.nodeOff[u+1]] }
 
+// NetsOfOffset returns where node u's net list starts in the node→nets
+// arena: NetsOf(u)[i] is arena entry NetsOfOffset(u)+i. Per-pin state
+// kept in a slice of NumPins entries is indexed this way.
+func (h *Hypergraph) NetsOfOffset(u int) int { return int(h.nodeOff[u]) }
+
 // Degree returns the number of pins on node u (p in the paper's notation).
 func (h *Hypergraph) Degree(u int) int { return int(h.nodeOff[u+1] - h.nodeOff[u]) }
 

@@ -332,44 +332,76 @@ func (l *Localized) step() bool {
 
 // rescore updates the heap keys that u's move changed and grows the
 // episode through u's live nets. Every unlocked pin sharing such a net
-// with u joins the episode (budget permitting), but a gain — O(degree),
-// ruinous when the pin is a coarse cluster with an adopted list of
-// thousands of nets — is recomputed only for pins whose FM term on that
-// net changed, and for pins newly entering the pass. With fs and ft the
-// net's pins now left on u's old side and on its new side, a pin on the
-// old side changes its term only if fs == 1 (it became its side's lone
-// pin) or ft == 1 (the side it would join stopped being empty); a pin on
-// the new side only if ft == 2 (it stopped being lone) or fs == 0 (the
-// side it would join became empty). Any other pin's gain is bitwise
-// unchanged, so its key stays exact and selection order, and the
-// partition, is that of recomputing every pin.
+// with u joins the episode (budget permitting), but a key changes only
+// for pins whose FM term on that net changed, and for pins newly entering
+// the pass. With fs and ft the net's pins now left on u's old side and on
+// its new side, a pin on the old side gains c·[fs = 1] (it became its
+// side's lone pin) plus c·[ft = 1] (the side it would join stopped being
+// empty); a pin on the new side loses c·[fs = 0] (the side it would join
+// became empty) plus c·[ft = 2] (it stopped being lone). Any other pin's
+// gain is bitwise unchanged, so its key stays exact and selection order,
+// and the partition, is that of recomputing every pin.
+//
+// Under integer costs (exactCosts) a changed pin's key moves by exactly
+// that delta: every key is its pin's current FM gain, an integer below
+// 2^53 like the delta, so key + delta is the recomputed gain bit for bit.
+// A gain costs O(degree), ruinous when the pin is a coarse cluster with
+// an adopted list of thousands of nets. Under fractional costs the pin's
+// gain is recomputed instead. A pin that enters the episode here is keyed
+// once, by a full gain after all of u's nets are walked: a delta from a
+// later net of u would count that net twice.
 func (l *Localized) rescore(u int) {
 	u32 := int32(u)
 	to := l.side[u]
 	from := to ^ 1
 	full := len(l.active) >= maxActive
+	first := len(l.active)
 	for _, e := range l.c.NetsOf(u) {
 		if l.c.NetSize(int(e)) < 2 {
 			continue
 		}
 		fs, ft := l.pinCount[from][e], l.pinCount[to][e]
-		onFrom, onTo := fs == 1 || ft == 1, ft == 2 || fs == 0
-		if full && !onFrom && !onTo {
+		cost := l.c.NetCost(int(e))
+		var dFrom, dTo float64
+		if fs == 1 {
+			dFrom += cost
+		}
+		if ft == 1 {
+			dFrom += cost
+		}
+		if fs == 0 {
+			dTo -= cost
+		}
+		if ft == 2 {
+			dTo -= cost
+		}
+		if full && dFrom == 0 && dTo == 0 {
 			continue // no key changes and no pin can join
 		}
 		for _, w := range l.c.Net(int(e)) {
 			if w == u32 || l.stamp[w] == l.lock {
 				continue
 			}
-			fresh := l.stamp[w] < l.epoch
-			l.activate(w)
-			if l.stamp[w] < l.epoch {
+			if l.activate(w); l.stamp[w] < l.epoch {
 				continue // activation budget hit
 			}
-			if fresh || (l.side[w] == from && onFrom) || (l.side[w] == to && onTo) {
-				l.heap[l.side[w]].Insert(int(w), l.gain(int(w)))
+			d := dFrom
+			if l.side[w] == to {
+				d = dTo
+			}
+			h := l.heap[l.side[w]]
+			if d == 0 || !h.Contains(int(w)) {
+				continue // unchanged, or entered the episode in this call
+			}
+			if l.exact {
+				h.Insert(int(w), h.Gain(int(w))+d)
+			} else {
+				h.Insert(int(w), l.gain(int(w)))
 			}
 		}
+	}
+	for _, w := range l.active[first:] {
+		l.heap[l.side[w]].Insert(int(w), l.gain(int(w)))
 	}
 }
 

@@ -3,6 +3,7 @@ package moves
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"prop/internal/hypergraph"
@@ -587,10 +588,17 @@ func (r *fullPass) RunPass() (float64, int, int) {
 	return l.endPass()
 }
 
+// hubSize is how many base nodes boundTestView contracts into each hub.
+const hubSize = 6
+
 // boundTestView builds a random graph with net costs cost(e), contracts it
 // to about three quarters of its nodes (coarse nodes with adopted net
 // lists), and assigns alive nodes to sides greedily by weight.
-func boundTestView(t *testing.T, n int, seed int64, cost func(e int) float64) (*hypergraph.Contracted, []uint8, []int32) {
+//
+// With hubs > 1, nodes [0, hubs·hubSize) form hub groups of hubSize that
+// are contracted first, and half the nets also pin a member of each of
+// two random groups, so every two hub clusters share dozens of nets.
+func boundTestView(t *testing.T, n, hubs int, seed int64, cost func(e int) float64) (*hypergraph.Contracted, []uint8, []int32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	b := hypergraph.NewBuilder()
@@ -602,6 +610,13 @@ func boundTestView(t *testing.T, n int, seed int64, cost func(e int) float64) (*
 		for i := range pins {
 			pins[i] = rng.Intn(n)
 		}
+		if hubs > 1 && rng.Intn(2) == 0 {
+			g1, g2 := rng.Intn(hubs), rng.Intn(hubs-1)
+			if g2 >= g1 {
+				g2++
+			}
+			pins = append(pins, g1*hubSize+rng.Intn(hubSize), g2*hubSize+rng.Intn(hubSize))
+		}
 		if err := b.AddNet("", cost(e), pins...); err != nil {
 			t.Fatal(err)
 		}
@@ -609,6 +624,11 @@ func boundTestView(t *testing.T, n int, seed int64, cost func(e int) float64) (*
 	c, err := hypergraph.NewContracted(b.MustBuild())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for u := 0; u < hubs*hubSize; u++ {
+		if rep := u - u%hubSize; rep != u {
+			c.Contract(int32(rep), int32(u))
+		}
 	}
 	for c.AliveCount() > n*3/4 {
 		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
@@ -701,14 +721,19 @@ func episodesMatchFull(t *testing.T, c *hypergraph.Contracted, sides []uint8, al
 }
 
 // TestLocalizedBoundMatchesFullPasses: with integer costs the pass-end
-// bound and the re-scoring rule change no partition. Over 240 episodes
-// on views of over 1,000 alive nodes, passes that stop at the bound keep
-// the prefix, G_max and state that passes run to the end keep. The test
-// also demands that the bound ended passes early.
+// bound and the re-scoring rule change no partition. Over 300 episodes
+// on views of over 1,000 alive nodes, the last with hub clusters, passes
+// that stop at the bound keep the prefix, G_max and state that passes run
+// to the end keep. The test also demands that the bound ended passes
+// early.
 func TestLocalizedBoundMatchesFullPasses(t *testing.T) {
 	early, moves, fullMoves, episodes := 0, 0, 0, 0
-	for g := int64(0); g < 4; g++ {
-		c, sides, alive := boundTestView(t, 1400, 50+g, func(e int) float64 { return float64(1 + e%3) })
+	for g := int64(0); g < 5; g++ {
+		hubs := 0
+		if g == 4 {
+			hubs = 8
+		}
+		c, sides, alive := boundTestView(t, 1400, hubs, 50+g, func(e int) float64 { return float64(1 + e%3) })
 		if len(alive) < 1000 {
 			t.Fatalf("view has %d alive nodes, want ≥ 1000", len(alive))
 		}
@@ -765,7 +790,7 @@ func TestLocalizedBoundStopsAtExactThreshold(t *testing.T) {
 // make prefix sums round, so the bound is off and passes run to the end;
 // the re-scoring rule alone must still match the reference.
 func TestLocalizedFractionalCostsMatchFullPasses(t *testing.T) {
-	c, sides, alive := boundTestView(t, 1400, 60, func(e int) float64 { return 1 + float64(e%5)*0.1 })
+	c, sides, alive := boundTestView(t, 1400, 0, 60, func(e int) float64 { return 1 + float64(e%5)*0.1 })
 	if exactCosts(c) {
 		t.Fatal("fractional costs read as exact")
 	}
@@ -777,35 +802,74 @@ func TestLocalizedFractionalCostsMatchFullPasses(t *testing.T) {
 // TestLocalizedKeysAndReachExact drives passes move by move on episodes
 // that fill the active set. After every move each active, unmoved node
 // must sit in its side's heap keyed by a fresh gain, and once the bound
-// is live its movable counts and reach must equal a recount.
+// is live its movable counts and reach must equal a recount. The second
+// view has hub clusters sharing dozens of nets with each other, so a
+// move re-keys some pins by a delta on net after net, and some pins enter
+// the episode on one net of the moved node and change their term on a
+// later one (late shares), where a delta would count that net twice.
 func TestLocalizedKeysAndReachExact(t *testing.T) {
-	c, sides, alive := boundTestView(t, 1200, 90, func(e int) float64 { return float64(1 + e%4) })
-	l := NewLocalized(c, partition.B4555(), sides)
-	rng := rand.New(rand.NewSource(91))
-	boundedMoves := 0
-	for ep := 0; ep < 12; ep++ {
-		for k := 0; k < 128; k++ {
-			l.Seed(int(alive[rng.Intn(len(alive))]))
-		}
-		l.startEpisode()
-		for pass := 0; pass < 8; pass++ {
-			l.beginPass()
-			for l.step() {
-				checkKeys(t, l)
-				if l.bounded {
-					checkReach(t, l)
-					boundedMoves++
+	for _, hubs := range []int{0, 8} {
+		c, sides, alive := boundTestView(t, 1200, hubs, 90, func(e int) float64 { return float64(1 + e%4) })
+		l := NewLocalized(c, partition.B4555(), sides)
+		rng := rand.New(rand.NewSource(91))
+		boundedMoves, late := 0, 0
+		for ep := 0; ep < 12; ep++ {
+			for k := 0; k < 128; k++ {
+				l.Seed(int(alive[rng.Intn(len(alive))]))
+			}
+			l.startEpisode()
+			for pass := 0; pass < 8; pass++ {
+				l.beginPass()
+				for first := len(l.active); l.step(); first = len(l.active) {
+					checkKeys(t, l)
+					late += lateShares(l, first)
+					if l.bounded {
+						checkReach(t, l)
+						boundedMoves++
+					}
+				}
+				if gmax, _, _ := l.endPass(); gmax <= EpsGain {
+					break
 				}
 			}
-			if gmax, _, _ := l.endPass(); gmax <= EpsGain {
+		}
+		if boundedMoves == 0 {
+			t.Fatalf("hubs %d: no move was made with the bound live", hubs)
+		}
+		if hubs > 0 && late == 0 {
+			t.Fatalf("hubs %d: no pin entered the episode and changed its term on a later net", hubs)
+		}
+		checkLiveCounts(t, l, "after the episodes")
+		t.Logf("hubs %d: %d moves with the bound live, %d late shares", hubs, boundedMoves, late)
+	}
+}
+
+// lateShares counts the pins the last move activated (l.active[first:])
+// whose FM term changed on a live net of the moved node after the first
+// such net that pins them.
+func lateShares(l *Localized, first int) int {
+	u := l.log.nodes[len(l.log.nodes)-1]
+	to := l.side[u]
+	n := 0
+	for _, w := range l.active[first:] {
+		seen := false
+		for _, e := range l.c.NetsOf(u) {
+			if l.c.NetSize(int(e)) < 2 || !slices.Contains(l.c.Net(int(e)), w) {
+				continue
+			}
+			fs, ft := l.pinCount[to^1][e], l.pinCount[to][e]
+			changed := fs == 1 || ft == 1
+			if l.side[w] == to {
+				changed = fs == 0 || ft == 2
+			}
+			if seen && changed {
+				n++
 				break
 			}
+			seen = true
 		}
 	}
-	if boundedMoves == 0 {
-		t.Fatal("no move was made with the bound live")
-	}
-	checkLiveCounts(t, l, "after the episodes")
+	return n
 }
 
 // checkKeys fails unless every active node is in its side's heap keyed by

@@ -24,6 +24,7 @@ func (*stubPass) RunPass() (float64, int, int) { return 1, 7, 3 }
 func (*stubPass) FillPass(ev obs.Pass) obs.Pass {
 	ev.DirtyNets, ev.SweptNodes, ev.RefineIters = 11, 13, 2
 	ev.Refreshes, ev.GainEvals, ev.StampSkips = 17, 25, 5
+	ev.GainNets, ev.GainTerms = 90, 40
 	return ev
 }
 
@@ -74,6 +75,7 @@ func TestRunTracedEmitsPassEvents(t *testing.T) {
 		"moves": 7.0, "kept": 3.0, "locked": 7.0,
 		"dirty_nets": 11.0, "swept": 13.0, "refine_iters": 2.0,
 		"refreshes": 17.0, "gain_evals": 25.0, "stamp_skips": 5.0,
+		"gain_nets": 90.0, "gain_terms": 40.0,
 	}
 	sc := bufio.NewScanner(&buf)
 	for pass := 0; sc.Scan(); pass++ {

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"time"
 
 	"prop/internal/cluster"
 	"prop/internal/hypergraph"
@@ -123,6 +124,26 @@ type Result struct {
 	// arena and undo stacks. The scale study's RSS gate divides peak RSS
 	// by base + hierarchy arenas.
 	HierarchyBytes int64
+	// NLevel splits an n-level run's wall time by phase, traced or not;
+	// it is zero for the V-cycle.
+	NLevel NLevelTimes
+}
+
+// NLevelTimes is the wall time of each n-level phase, summed over cycles.
+// What they leave out is bookkeeping between phases.
+type NLevelTimes struct {
+	Coarsen    time.Duration // contraction down to the coarsest level
+	Initial    time.Duration // the coarsest level's partition, cold or warm
+	Uncontract time.Duration // memento pops, revived pins counted by the refiner
+	Refine     time.Duration // localized FM: set-up, batch episodes, resyncs
+	Polish     time.Duration // full-level refinement at checkpoints and depth 0
+}
+
+// lap adds the time since the previous lap to *d.
+func lap(last *time.Time, d *time.Duration) {
+	now := time.Now()
+	*d += now.Sub(*last)
+	*last = now
 }
 
 // Partition is PartitionCtx without cancellation.
@@ -180,6 +201,7 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config) (Re
 		Levels:         r.levels,
 		CoarsestCut:    r.coarsestCut,
 		HierarchyBytes: c.ArenaBytes(),
+		NLevel:         r.times,
 	}, nil
 }
 
@@ -194,6 +216,7 @@ type hierarchy struct {
 
 	levels      int
 	coarsestCut float64
+	times       NLevelTimes
 }
 
 // vcycle coarsens by whole matching rounds, partitions the coarsest level,

@@ -2,6 +2,7 @@ package multilevel
 
 import (
 	"context"
+	"time"
 
 	"prop/internal/cluster"
 	"prop/internal/hypergraph"
@@ -28,9 +29,11 @@ func (r *hierarchy) nlevel(ctx context.Context) error {
 		if iter > 0 {
 			within = r.sides
 		}
+		t := time.Now()
 		if err := cluster.CoarsenInPlace(r.c, coarsestNodes, seed, within, cfg.Tracer, cfg.TraceRun); err != nil {
 			return err
 		}
+		lap(&t, &r.times.Coarsen)
 		if iter > 0 && r.c.Depth() == 0 {
 			break // sides admit no further contraction; nothing to redo
 		}
@@ -48,15 +51,18 @@ func (r *hierarchy) nlevel(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
+		lap(&t, &r.times.Initial)
 		if err := r.uncoarsen(ctx); err != nil {
 			return err
 		}
 		// Depth 0: repair to the exact fine-level window, then (on graphs
 		// small enough that a full sweep is cheap) polish.
+		t = time.Now()
 		cut, err := r.refineLevel(r.h.NumNodes() <= polishMaxNodes)
 		if err != nil {
 			return err
 		}
+		lap(&t, &r.times.Polish)
 		if bestCut < 0 || cut < bestCut {
 			bestCut = cut
 			best = append(best[:0], r.sides...)
@@ -85,7 +91,9 @@ func (r *hierarchy) uncoarsen(ctx context.Context) error {
 	seg := 0
 	sp := cfg.Tracer.StartPhaseLevel(cfg.TraceRun, "uncoarsen", seg)
 	defer func() { sp.End() }()
+	t := time.Now()
 	l := moves.NewLocalized(c, cfg.Balance, r.sides)
+	lap(&t, &r.times.Refine)
 	caseA := make([]int32, 0, 64)
 	checkpoint := c.AliveCount() * 2
 	for c.Depth() > 0 {
@@ -94,10 +102,12 @@ func (r *hierarchy) uncoarsen(ctx context.Context) error {
 			m, caseA = c.Uncontract(caseA[:0])
 			l.Uncontracted(int(m.U), int(m.V), caseA)
 		}
+		lap(&t, &r.times.Uncontract)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		l.Refine(8)
+		lap(&t, &r.times.Refine)
 		if c.AliveCount() < checkpoint || c.Depth() == 0 {
 			continue
 		}
@@ -106,9 +116,11 @@ func (r *hierarchy) uncoarsen(ctx context.Context) error {
 			if _, err := r.refineLevel(true); err != nil {
 				return err
 			}
+			lap(&t, &r.times.Polish)
 			// The checkpoint moved nodes behind the localized refiner's
 			// back; recount its incremental state.
 			l.Resync()
+			lap(&t, &r.times.Refine)
 		}
 		sp.End()
 		seg++

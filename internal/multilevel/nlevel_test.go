@@ -13,7 +13,8 @@ import (
 )
 
 // TestNLevelContract: the n-level mode produces a feasible partition with
-// exact bookkeeping and a deep hierarchy (one level per contraction).
+// exact bookkeeping and a deep hierarchy (one level per contraction), and
+// times each of its phases.
 func TestNLevelContract(t *testing.T) {
 	h := gen.MustGenerate(gen.Params{Nodes: 800, Nets: 860, Pins: 2950, Seed: 95})
 	bal := partition.Exact5050()
@@ -23,6 +24,9 @@ func TestNLevelContract(t *testing.T) {
 	}
 	if res.Levels < 600 {
 		t.Errorf("only %d n-level contractions for 800 nodes", res.Levels)
+	}
+	if p := res.NLevel; p.Coarsen <= 0 || p.Initial <= 0 || p.Uncontract <= 0 || p.Refine <= 0 || p.Polish <= 0 {
+		t.Errorf("phase times %+v, want every phase timed", p)
 	}
 	b, err := partition.NewBisection(h, res.Sides)
 	if err != nil {
@@ -148,6 +152,9 @@ func TestNLevelComparableToVCycle(t *testing.T) {
 	}
 	if nl.CutCost > 1.5*vc.CutCost {
 		t.Errorf("n-level cut %g far worse than V-cycle %g", nl.CutCost, vc.CutCost)
+	}
+	if vc.NLevel != (NLevelTimes{}) {
+		t.Errorf("V-cycle reports n-level phase times %+v", vc.NLevel)
 	}
 }
 

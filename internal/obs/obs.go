@@ -28,7 +28,8 @@
 //	run_end      id?, dur_us, err?
 //	pass         algo, id?, pass, cut, gmax, moves, kept, locked,
 //	             dirty_nets, swept, refine_iters, sweep_wall_us,
-//	             refreshes, gain_evals, stamp_skips, dur_us
+//	             refreshes, gain_evals, stamp_skips, gain_nets,
+//	             gain_terms, dur_us
 //	move         pass, node, gain
 //	flow         id?, round, boundary, corridor, nets, flow,
 //	             cut_before, cut_after, adopted (0/1), dur_us
@@ -258,6 +259,8 @@ type Pass struct {
 	Refreshes  int // in-pass gain refreshes requested after moves
 	GainEvals  int // gain evaluations: refine sweeps plus refreshes not skipped
 	StampSkips int // refreshes skipped because none of the node's nets changed
+	GainNets   int // nets walked by the gain evaluations
+	GainTerms  int // per-net gain terms recomputed; GainNets without a term cache
 
 	Dur time.Duration // wall-clock time of the whole pass
 }
@@ -402,6 +405,8 @@ func (t *Tracer) EmitPass(e Pass) {
 	b = appendInt(b, "refreshes", int64(e.Refreshes))
 	b = appendInt(b, "gain_evals", int64(e.GainEvals))
 	b = appendInt(b, "stamp_skips", int64(e.StampSkips))
+	b = appendInt(b, "gain_nets", int64(e.GainNets))
+	b = appendInt(b, "gain_terms", int64(e.GainTerms))
 	b = appendInt(b, "dur_us", e.Dur.Microseconds())
 	t.close(b)
 	t.mu.Unlock()

@@ -34,7 +34,7 @@ func TestEventEncoding(t *testing.T) {
 	tr.EmitPass(Pass{Algo: "prop", ID: "r1", Run: 0, Pass: 1, Cut: 55.5, Gmax: 2.25,
 		Moves: 10, Kept: 7, Locked: 10, DirtyNets: 3, SweptNodes: 40, RefineIters: 2,
 		SweepWall: 3 * time.Microsecond, Refreshes: 90, GainEvals: 64, StampSkips: 66,
-		Dur: 1500 * time.Microsecond})
+		GainNets: 250, GainTerms: 31, Dur: 1500 * time.Microsecond})
 	tr.EmitMove(Move{Run: 0, Pass: 1, Node: 17, Gain: -1.5})
 	tr.EmitRunEnd(RunEnd{ID: "r1", Run: 0, Dur: time.Millisecond, Err: "boom \"quoted\""})
 	if tr.Err() != nil {
@@ -64,6 +64,7 @@ func TestEventEncoding(t *testing.T) {
 		p["dirty_nets"] != float64(3) || p["swept"] != float64(40) ||
 		p["sweep_wall_us"] != float64(3) || p["refreshes"] != float64(90) ||
 		p["gain_evals"] != float64(64) || p["stamp_skips"] != float64(66) ||
+		p["gain_nets"] != float64(250) || p["gain_terms"] != float64(31) ||
 		p["dur_us"] != float64(1500) {
 		t.Errorf("pass = %v", p)
 	}

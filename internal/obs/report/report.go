@@ -49,6 +49,8 @@ type event struct {
 	Refreshes  int64 `json:"refreshes"`
 	GainEvals  int64 `json:"gain_evals"`
 	StampSkips int64 `json:"stamp_skips"`
+	GainNets   int64 `json:"gain_nets"`
+	GainTerms  int64 `json:"gain_terms"`
 
 	// flow
 	Adopted   int     `json:"adopted"`
@@ -105,7 +107,9 @@ type PassPoint struct {
 
 // MoveStats aggregates the pass events' move accounting and PROP's gain
 // effort: refreshes requested after moves, gain evaluations (refine sweeps
-// plus refreshes computed), and refreshes the change stamps skipped.
+// plus refreshes computed), refreshes the change stamps skipped, the nets
+// the evaluations walked and the per-net terms they recomputed (fewer
+// than the nets only where the term cache serves).
 type MoveStats struct {
 	Passes        int     `json:"passes"`
 	Moves         int64   `json:"moves"`
@@ -116,6 +120,8 @@ type MoveStats struct {
 	GainEvals     int64   `json:"gain_evals,omitempty"`
 	StampSkips    int64   `json:"stamp_skips,omitempty"`
 	SkipRatePct   float64 `json:"skip_rate_pct,omitempty"` // stamp_skips / refreshes
+	GainNets      int64   `json:"gain_nets,omitempty"`
+	GainTerms     int64   `json:"gain_terms,omitempty"`
 }
 
 // FlowStats aggregates the flow polisher's round events.
@@ -271,6 +277,8 @@ func Read(r io.Reader) (*RunReport, error) {
 			rep.Moves.Refreshes += e.Refreshes
 			rep.Moves.GainEvals += e.GainEvals
 			rep.Moves.StampSkips += e.StampSkips
+			rep.Moves.GainNets += e.GainNets
+			rep.Moves.GainTerms += e.GainTerms
 			pa := passes[e.Pass]
 			if pa == nil {
 				pa = &passAgg{best: e.Cut}
@@ -514,9 +522,13 @@ func WriteText(w io.Writer, rep *RunReport, topN int) error {
 	if rep.Moves.Passes > 0 {
 		fmt.Fprintf(bw, "\nmoves: %d passes, %d proposed, %d kept (%.1f%% accept), %d locked\n",
 			rep.Moves.Passes, rep.Moves.Moves, rep.Moves.Kept, rep.Moves.AcceptRatePct, rep.Moves.Locked)
-		if rep.Moves.Refreshes > 0 {
-			fmt.Fprintf(bw, "gain effort: %d evaluations, %d refreshes, %d skipped by change stamps (%.1f%%)\n",
-				rep.Moves.GainEvals, rep.Moves.Refreshes, rep.Moves.StampSkips, rep.Moves.SkipRatePct)
+		if m := rep.Moves; m.Refreshes > 0 {
+			fmt.Fprintf(bw, "gain effort: %d evaluations, %d refreshes, %d skipped by change stamps (%.1f%%)",
+				m.GainEvals, m.Refreshes, m.StampSkips, m.SkipRatePct)
+			if m.GainNets > 0 {
+				fmt.Fprintf(bw, "; %d nets walked, %d terms recomputed", m.GainNets, m.GainTerms)
+			}
+			fmt.Fprintln(bw)
 		}
 	}
 	if f := rep.Flow; f != nil {

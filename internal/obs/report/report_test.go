@@ -20,8 +20,8 @@ const goldenTrace = `{"ts_us":0,"ev":"run_start","run":0,"id":"g"}
 {"ts_us":81,"ev":"phase","run":0,"name":"coarsen","depth":1,"level":1,"wall_us":30}
 {"ts_us":82,"ev":"phase_start","run":0,"name":"initial","depth":1,"level":0}
 {"ts_us":100,"ev":"phase_start","run":0,"name":"prop","depth":2,"level":0}
-{"ts_us":150,"ev":"pass","run":0,"algo":"prop","pass":0,"cut":600,"gmax":4,"moves":100,"kept":60,"locked":100,"refreshes":300,"gain_evals":900,"stamp_skips":210,"dur_us":40}
-{"ts_us":190,"ev":"pass","run":0,"algo":"prop","pass":1,"cut":520,"gmax":2,"moves":80,"kept":30,"locked":80,"refreshes":100,"gain_evals":700,"stamp_skips":90,"dur_us":35}
+{"ts_us":150,"ev":"pass","run":0,"algo":"prop","pass":0,"cut":600,"gmax":4,"moves":100,"kept":60,"locked":100,"refreshes":300,"gain_evals":900,"stamp_skips":210,"gain_nets":2500,"gain_terms":800,"dur_us":40}
+{"ts_us":190,"ev":"pass","run":0,"algo":"prop","pass":1,"cut":520,"gmax":2,"moves":80,"kept":30,"locked":80,"refreshes":100,"gain_evals":700,"stamp_skips":90,"gain_nets":2100,"gain_terms":700,"dur_us":35}
 {"ts_us":200,"ev":"phase","run":0,"name":"prop","depth":2,"level":0,"wall_us":100}
 {"ts_us":201,"ev":"phase","run":0,"name":"initial","depth":1,"level":0,"wall_us":119}
 {"ts_us":400,"ev":"phase","run":0,"name":"multilevel","depth":0,"level":0,"wall_us":399}
@@ -120,7 +120,8 @@ func TestMoveRoundFlowRates(t *testing.T) {
 		t.Errorf("accept rate = %g, want %g", m.AcceptRatePct, want)
 	}
 	// Only run 0's passes carry PROP's refresh counters.
-	if m.Refreshes != 400 || m.GainEvals != 1600 || m.StampSkips != 300 || m.SkipRatePct != 75 {
+	if m.Refreshes != 400 || m.GainEvals != 1600 || m.StampSkips != 300 || m.SkipRatePct != 75 ||
+		m.GainNets != 4600 || m.GainTerms != 1500 {
 		t.Errorf("gain effort = %+v", m)
 	}
 	f := rep.Flow
@@ -157,7 +158,7 @@ func TestWriteTextAndJSON(t *testing.T) {
 		"multilevel", "coarsen", "top 4 phases",
 		"convergence", "best-so-far",
 		"moves: 4 passes",
-		"gain effort: 1600 evaluations, 400 refreshes, 300 skipped by change stamps (75.0%)",
+		"gain effort: 1600 evaluations, 400 refreshes, 300 skipped by change stamps (75.0%); 4600 nets walked, 1500 terms recomputed",
 		"flow: 2 rounds, 1 adopted (50.0%)",
 	} {
 		if !strings.Contains(text, want) {
@@ -168,7 +169,7 @@ func TestWriteTextAndJSON(t *testing.T) {
 	if err := WriteJSON(&sb, rep); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"phase_coverage_pct"`, `"best_so_far"`, `"adoption_rate_pct"`} {
+	for _, want := range []string{`"phase_coverage_pct"`, `"best_so_far"`, `"adoption_rate_pct"`, `"gain_terms": 1500`} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("json report missing %q", want)
 		}
