@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -86,6 +87,10 @@ func TestRunSuiteSmall(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered tables missing %q", want)
 		}
+	}
+	ratios := regexp.MustCompile(`Per-run ratio to FM-bkt \(summed over circuits\): FM-tree \d+\.\d\d× LA-2 \d+\.\d\d× LA-3 \d+\.\d\d× PROP \d+\.\d\d×\n`)
+	if !ratios.MatchString(out) {
+		t.Errorf("Table 4 has no ratio line:\n%s", out)
 	}
 }
 

@@ -186,24 +186,27 @@ func WriteTable3(w io.Writer, results []CircuitResult, runs int) {
 	}
 }
 
-// WriteTable4 renders CPU seconds per run per method and the paper-style
-// totals over all circuits at each method's run multiplier.
+// WriteTable4 renders CPU seconds per run per method, the paper-style
+// totals over all circuits at each method's run multiplier, and the
+// iterative methods' per-run cost relative to FM-bucket, summed over the
+// circuits both ran.
 func WriteTable4(w io.Writer, results []CircuitResult, runs int) {
 	type col struct {
 		label, series string
 		bal5050       bool
 		mult          int
+		ratio         bool // report its summed per-run ratio to FM-bkt
 	}
 	cols := []col{
-		{"FM-bkt", "FM", true, 5 * runs},
-		{"FM-tree", "FM-tree", true, 5 * runs},
-		{"LA-2", "LA-2", true, 2 * runs},
-		{"LA-3", "LA-3", true, runs},
-		{"PROP", "PROP", false, runs},
-		{"EIG1", "EIG1", false, 1},
-		{"Paraboli", "Paraboli", false, 1},
-		{"MELO", "MELO", false, 1},
-		{"WINDOW", "WINDOW", true, 1},
+		{"FM-bkt", "FM", true, 5 * runs, false}, // the ratios' base: first
+		{"FM-tree", "FM-tree", true, 5 * runs, true},
+		{"LA-2", "LA-2", true, 2 * runs, true},
+		{"LA-3", "LA-3", true, runs, true},
+		{"PROP", "PROP", false, runs, true},
+		{"EIG1", "EIG1", false, 1, false},
+		{"Paraboli", "Paraboli", false, 1, false},
+		{"MELO", "MELO", false, 1, false},
+		{"WINDOW", "WINDOW", true, 1, false},
 	}
 	fmt.Fprintln(w, "Table 4: CPU seconds per run (totals row: seconds × paper run multipliers)")
 	fmt.Fprintf(w, "%-10s", "Test Case")
@@ -212,8 +215,10 @@ func WriteTable4(w io.Writer, results []CircuitResult, runs int) {
 	}
 	fmt.Fprintln(w)
 	totals := make([]float64, len(cols))
+	num, den := make([]float64, len(cols)), make([]float64, len(cols))
 	for _, r := range results {
 		fmt.Fprintf(w, "%-10s", r.Spec.Name)
+		sec := make([]float64, len(cols)) // this row's per-run seconds, -1 if absent
 		for i, c := range cols {
 			var s Series
 			var ok bool
@@ -226,14 +231,21 @@ func WriteTable4(w io.Writer, results []CircuitResult, runs int) {
 				}
 			}
 			if !ok {
+				sec[i] = -1
 				fmt.Fprintf(w, " %9s", "-")
 				continue
 			}
-			sec := s.PerRun.Seconds()
-			totals[i] += sec * float64(c.mult)
-			fmt.Fprintf(w, " %9.3f", sec)
+			sec[i] = s.PerRun.Seconds()
+			totals[i] += sec[i] * float64(c.mult)
+			fmt.Fprintf(w, " %9.5f", sec[i])
 		}
 		fmt.Fprintln(w)
+		for i, c := range cols {
+			if c.ratio && sec[i] >= 0 && sec[0] >= 0 {
+				num[i] += sec[i]
+				den[i] += sec[0]
+			}
+		}
 	}
 	fmt.Fprintf(w, "%-10s", "Total")
 	for i, c := range cols {
@@ -244,6 +256,13 @@ func WriteTable4(w io.Writer, results []CircuitResult, runs int) {
 	fmt.Fprintf(w, "Multipliers:")
 	for _, c := range cols {
 		fmt.Fprintf(w, " %s×%d", c.label, c.mult)
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "Per-run ratio to FM-bkt (summed over circuits):")
+	for i, c := range cols {
+		if den[i] > 0 {
+			fmt.Fprintf(w, " %s %.2f×", c.label, num[i]/den[i])
+		}
 	}
 	fmt.Fprintln(w)
 }

@@ -43,3 +43,15 @@ func TestPassRefreshCounters(t *testing.T) {
 	}
 	t.Logf("swept %d, refreshes %d, stamp skips %d", ev.SweptNodes, ev.Refreshes, ev.StampSkips)
 }
+
+// TestPassFeasChecks: the pass loop counts its selections' balance checks
+// untraced, and every move took at least one accepted check.
+func TestPassFeasChecks(t *testing.T) {
+	e := obsTestEngine(t)
+	_, moves, _ := e.loop().RunPass()
+	ev := e.loop().FillPass(obs.Pass{})
+	if moves == 0 || ev.FeasChecks < moves {
+		t.Fatalf("%d feasibility checks for %d moves, want at least one per move", ev.FeasChecks, moves)
+	}
+	t.Logf("%d moves, %d feasibility checks", moves, ev.FeasChecks)
+}

@@ -65,16 +65,15 @@ type passStats struct {
 func (s *passStats) reset() { *s = passStats{} }
 
 type passEngine struct {
-	b          *partition.Bisection
-	cfg        Config
-	calc       *Calculator
-	gain       []float64
-	gainAt     []uint64 // calc.Clock() when gain[u] was computed
-	nbrScratch []bool
-	nbrBuf     []int32
-	topBuf     []int
-	heaps      [2]*ds.GainHeap // refilled at every pass start
-	l          *moves.Loop
+	b      *partition.Bisection
+	cfg    Config
+	calc   *Calculator
+	gain   []float64
+	gainAt []uint64 // calc.Clock() when gain[u] was computed
+	nbrBuf []int32
+	topBuf []int
+	heaps  [2]*ds.GainHeap // refilled at every pass start
+	l      *moves.Loop
 
 	// ps carries the current pass's observability counters.
 	ps passStats
@@ -91,14 +90,13 @@ type passEngine struct {
 func newPassEngine(b *partition.Bisection, cfg Config) *passEngine {
 	n := b.H.NumNodes()
 	return &passEngine{
-		b:          b,
-		cfg:        cfg,
-		calc:       NewCalculator(b),
-		gain:       make([]float64, n),
-		gainAt:     make([]uint64, n),
-		nbrScratch: make([]bool, n),
-		heaps:      [2]*ds.GainHeap{ds.NewGainHeap(n), ds.NewGainHeap(n)},
-		dirtyNet:   make([]bool, b.H.NumNets()),
+		b:        b,
+		cfg:      cfg,
+		calc:     NewCalculator(b),
+		gain:     make([]float64, n),
+		gainAt:   make([]uint64, n),
+		heaps:    [2]*ds.GainHeap{ds.NewGainHeap(n), ds.NewGainHeap(n)},
+		dirtyNet: make([]bool, b.H.NumNets()),
 	}
 }
 
@@ -317,7 +315,6 @@ func (e *passEngine) updateAfterMove(u int) {
 	t := e.b.Side(u) // u already moved: t is its new side
 	s := 1 - t
 	e.nbrBuf = e.nbrBuf[:0]
-	u32 := int32(u)
 	for _, nt32 := range h.NetsOf(u) {
 		nt := int(nt32)
 		relevant := e.b.PinCount(t, nt) == 1 || // net just entered the cutset (or u is its lone t pin)
@@ -327,15 +324,20 @@ func (e *passEngine) updateAfterMove(u int) {
 		if !relevant {
 			continue
 		}
+		// The lock flags double as the walk's visited marks, so each pin
+		// costs one load: u is already locked, and a queued neighbor stays
+		// marked locked until the walk ends, before any gain is read.
 		for _, v := range h.Net(nt) {
-			if v != u32 && !e.calc.Locked[v] && !e.nbrScratch[v] {
-				e.nbrScratch[v] = true
+			if !e.calc.Locked[v] {
+				e.calc.Locked[v] = true
 				e.nbrBuf = append(e.nbrBuf, v)
 			}
 		}
 	}
 	for _, v := range e.nbrBuf {
-		e.nbrScratch[v] = false
+		e.calc.Locked[v] = false
+	}
+	for _, v := range e.nbrBuf {
 		e.refreshNode(int(v))
 	}
 	if e.cfg.TopK > 0 {

@@ -92,7 +92,7 @@ func (o *oracle) matches(h *GainHeap) error {
 	if i != len(want) {
 		return fmt.Errorf("TopDown visited %d of %d nodes", i, len(want))
 	}
-	for _, k := range []int{0, 1, 2, 3, len(want) / 2, len(want), len(want) + 1} {
+	for _, k := range []int{0, 1, 2, 3, headCap - 1, headCap, headCap + 1, len(want) / 2, len(want), len(want) + 1} {
 		got := h.TopK(k, nil)
 		if len(got) != min(k, len(want)) {
 			return fmt.Errorf("TopK(%d) returned %d nodes", k, len(got))
@@ -368,6 +368,126 @@ func TestSharedGainHeapOrderStrict(t *testing.T) {
 	}
 }
 
+// TestGainHeapHeadBoundary drives entries across the boundary between the
+// sorted head and the tail on heaps of 0 to 3·headCap entries, in both tie
+// modes and on two heaps sharing one position index, and checks every
+// read against the oracle after every operation: head entries re-keyed
+// onto and below the tail's best, tail entries re-keyed onto and above the
+// head's worst, deletes of the best each followed by an insert at the
+// bottom, and deletes from the head down to empty.
+func TestGainHeapHeadBoundary(t *testing.T) {
+	const n = 3 * headCap
+	for size := 0; size <= n; size++ {
+		pos := make([]int32, n)
+		FillAbsent(pos)
+		for _, s := range []struct {
+			name string
+			hs   []*GainHeap
+			os   []*oracle
+		}{
+			{"id", []*GainHeap{NewGainHeap(n)}, []*oracle{newOracle(false)}},
+			{"lifo", []*GainHeap{NewLIFOGainHeap(n)}, []*oracle{newOracle(true)}},
+			{"shared", []*GainHeap{NewSharedGainHeap(pos), NewSharedGainHeap(pos)}, []*oracle{newOracle(false), newOracle(false)}},
+		} {
+			side := func(u int) int { return u % len(s.hs) }
+			check := func(op string, u int) {
+				t.Helper()
+				for i, h := range s.hs {
+					if err := s.os[i].matches(h); err != nil {
+						t.Fatalf("%s, %d nodes, %s %d: heap %d: %v", s.name, size, op, u, i, err)
+					}
+				}
+				for v := 0; v < n; v++ {
+					_, in := s.os[side(v)].live[v]
+					if s.hs[side(v)].Contains(v) != in {
+						t.Fatalf("%s, %d nodes, %s %d: Contains(%d) = %v", s.name, size, op, u, v, !in)
+					}
+				}
+			}
+			insert := func(op string, u int, g float64) {
+				t.Helper()
+				s.hs[side(u)].Insert(u, g)
+				s.os[side(u)].insert(u, g)
+				check(op, u)
+			}
+			// Ascending gains: once a head is full, every insert displaces
+			// its worst entry into the tail.
+			for u := 0; u < size; u++ {
+				insert("insert", u, float64(u))
+			}
+			for k, o := range s.os {
+				order := o.sorted()
+				split := min(headCap, len(order))
+				head, tail := order[:split], order[split:]
+				for _, e := range head {
+					if len(tail) == 0 {
+						insert("re-key in head", int(e.node), e.gain-100)
+						continue
+					}
+					best := o.sorted()[split] // the tail's best
+					insert("re-key onto tail best", int(e.node), best.gain)
+					insert("re-key below tail best", int(e.node), best.gain-0.5)
+				}
+				for _, e := range tail {
+					worst := o.sorted()[split-1] // the head's worst
+					insert("re-key onto head worst", int(e.node), worst.gain)
+					insert("re-key above head worst", int(e.node), worst.gain+0.5)
+				}
+				// Delete the best and re-insert it below every entry, so
+				// each delete refills the head and each insert lands in
+				// the tail.
+				for left := len(o.live); left > 0; left-- {
+					order := o.sorted()
+					u := int(order[0].node)
+					s.hs[k].Delete(u)
+					o.delete(u)
+					check("delete", u)
+					insert("re-insert last", u, order[len(order)-1].gain-1)
+				}
+				for i := 0; len(o.live) > 0; i++ {
+					order := o.sorted()
+					u := int(order[i%min(headCap, len(order))].node) // a head slot, front and middle
+					s.hs[k].Delete(u)
+					o.delete(u)
+					check("delete", u)
+				}
+			}
+		}
+	}
+}
+
+// TestGainHeapWarmZeroAllocs: once a heap's entries and TopDown scratch
+// have grown, Insert, Delete, TopK and TopDown allocate nothing.
+func TestGainHeapWarmZeroAllocs(t *testing.T) {
+	const n = 4 * headCap
+	pos := make([]int32, n)
+	FillAbsent(pos)
+	heaps := map[string]*GainHeap{"id": NewGainHeap(n), "lifo": NewLIFOGainHeap(n), "shared": NewSharedGainHeap(pos)}
+	dst := make([]int, 0, n)
+	visit := func(int, float64) bool { return true }
+	for name, h := range heaps {
+		round := func() {
+			for u := 0; u < n; u++ {
+				h.Insert(u, float64(u%5))
+			}
+			for u := 0; u < n; u += 3 {
+				h.Insert(u, float64(-u))
+			}
+			dst = h.TopK(headCap/2, dst[:0])
+			dst = h.TopK(2*headCap, dst[:0])
+			h.TopDown(visit)
+			for u := 0; u < n; u += 2 {
+				h.Delete(u)
+			}
+			h.Clear()
+		}
+		round()
+		if a := testing.AllocsPerRun(20, round); a != 0 {
+			t.Errorf("%s heap: %v allocations per round, want 0", name, a)
+		}
+	}
+}
+
 // FuzzGainHeap decodes its input into insert, re-key, delete and clear
 // operations over 64 node IDs, with gains from a small set so that ties
 // are common, and replays them on an ID-ordered heap, a LIFO heap and two
@@ -378,6 +498,27 @@ func FuzzGainHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 2, 2, 0, 3, 2, 5, 2, 0})
 	f.Add([]byte{0, 0, 0x83, 1, 0, 3, 7, 0, 0x80, 0, 9, 4, 6, 9, 0})
 	f.Add([]byte{4, 63, 6, 4, 62, 6, 4, 61, 6, 0, 62, 6, 5, 63, 0, 7, 0, 1})
+	// More than 2·headCap live nodes on each heap: fill, re-key across the
+	// head/tail boundary both ways, delete from the head and the tail.
+	var wide []byte
+	for u := 0; u < 5*headCap; u++ {
+		wide = append(wide, 0, byte(u), byte(u%7)|byte(u%2)<<7)
+	}
+	for u := 0; u < 5*headCap; u += 3 {
+		wide = append(wide, 1, byte(u), byte((u+4)%7)|byte(u%2)<<7)
+	}
+	for u := 5*headCap - 1; u >= 0; u -= 4 {
+		wide = append(wide, 5, byte(u), 0)
+	}
+	f.Add(wide)
+	var ties []byte // gains from two values only, so the boundary splits ties
+	for u := 0; u < 3*headCap; u++ {
+		ties = append(ties, 2, byte(u), byte(u%2)*5|byte(u%3)<<7)
+	}
+	for u := 0; u < 3*headCap; u += 2 {
+		ties = append(ties, 3, byte(u), byte((u+1)%2)*5, 6, byte(u+1), 0)
+	}
+	f.Add(ties)
 	gains := []float64{-1, -0.5, 0, 0.25, 0.5, 1, 2}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const n = 64

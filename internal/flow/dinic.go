@@ -6,7 +6,7 @@ import "prop/internal/partition"
 // iteration pointers) from vertex 0 to vertex 1 and returns the max-flow
 // value at the network's capacity scale.
 func (g *network) maxflow() int64 {
-	n := len(g.arcs)
+	n := g.numVertices()
 	if n < 2 {
 		return 0
 	}
@@ -22,7 +22,7 @@ func (g *network) maxflow() int64 {
 		queue = append(queue[:0], 0)
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
-			for _, a := range g.arcs[u] {
+			for _, a := range g.out(u) {
 				if a.cap > 0 && level[a.to] < 0 {
 					level[a.to] = level[u] + 1
 					queue = append(queue, a.to)
@@ -51,8 +51,9 @@ func (g *network) augment(u int32, limit int64, level, iter []int32) int64 {
 	if u == 1 {
 		return limit
 	}
-	for ; iter[u] < int32(len(g.arcs[u])); iter[u]++ {
-		a := &g.arcs[u][iter[u]]
+	arcs := g.out(u)
+	for ; iter[u] < int32(len(arcs)); iter[u]++ {
+		a := &arcs[iter[u]]
 		if a.cap <= 0 || level[a.to] != level[u]+1 {
 			continue
 		}
@@ -62,7 +63,7 @@ func (g *network) augment(u int32, limit int64, level, iter []int32) int64 {
 		}
 		if d := g.augment(a.to, pushed, level, iter); d > 0 {
 			a.cap -= d
-			g.arcs[a.to][a.rev].cap += d
+			g.arcs[a.rev].cap += d
 			return d
 		}
 	}
@@ -84,7 +85,7 @@ func (g *network) augment(u int32, limit int64, level, iter []int32) int64 {
 // [lo, hi] and keeps the feasible one closest to the window's midpoint
 // (ties to the shortest prefix, which is deterministic).
 func (g *network) minCutMoves(b *partition.Bisection, c corridor, lo, hi int64) ([]int32, bool) {
-	n := len(g.arcs)
+	n := g.numVertices()
 	if n < 2 {
 		return nil, false
 	}
@@ -101,7 +102,7 @@ func (g *network) minCutMoves(b *partition.Bisection, c corridor, lo, hi int64) 
 	queue = append(queue, 0)
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
-		for _, a := range g.arcs[u] {
+		for _, a := range g.out(u) {
 			if a.cap > 0 && state[a.to] == stateFree {
 				state[a.to] = stateSource
 				queue = append(queue, a.to)
@@ -114,8 +115,8 @@ func (g *network) minCutMoves(b *partition.Bisection, c corridor, lo, hi int64) 
 	queue = append(queue[:0], 1)
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
-		for _, a := range g.arcs[u] {
-			if state[a.to] == stateFree && g.arcs[a.to][a.rev].cap > 0 {
+		for _, a := range g.out(u) {
+			if state[a.to] == stateFree && g.arcs[a.rev].cap > 0 {
 				state[a.to] = stateSink
 				queue = append(queue, a.to)
 			}
@@ -179,7 +180,7 @@ func (g *network) minCutMoves(b *partition.Bisection, c corridor, lo, hi int64) 
 // deterministic.
 func (g *network) freeSCC(state []uint8) ([]int32, int) {
 	const stateFree = 0
-	n := len(g.arcs)
+	n := g.numVertices()
 	comp := make([]int32, n)
 	disc := make([]int32, n)
 	low := make([]int32, n)
@@ -211,8 +212,8 @@ func (g *network) freeSCC(state []uint8) ([]int32, int) {
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			advanced := false
-			for ; f.ai < int32(len(g.arcs[f.v])); f.ai++ {
-				a := g.arcs[f.v][f.ai]
+			for arcs := g.out(f.v); f.ai < int32(len(arcs)); f.ai++ {
+				a := arcs[f.ai]
 				if a.cap <= 0 || state[a.to] != stateFree {
 					continue
 				}

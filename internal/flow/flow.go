@@ -92,6 +92,7 @@ func Refine(h *hypergraph.Hypergraph, initial []uint8, cfg Config) (Result, erro
 	if sideCap < 1 {
 		sideCap = 1
 	}
+	var net network // its buffers serve every round
 	for round := 0; round < rounds; round++ {
 		start := time.Now()
 		res.Rounds++
@@ -104,7 +105,7 @@ func Refine(h *hypergraph.Hypergraph, initial []uint8, cfg Config) (Result, erro
 		nets := 0
 		if len(c.nodes) > 0 {
 			sp = cfg.Tracer.StartPhaseLevel(cfg.TraceRun, "expand", round)
-			net := buildNetwork(b, c)
+			net.build(b, c)
 			sp.End()
 			nets = len(net.nets)
 			sp = cfg.Tracer.StartPhaseLevel(cfg.TraceRun, "dinic", round)

@@ -73,7 +73,8 @@ func TestFlowValueEqualsInducedCut(t *testing.T) {
 		if len(c.nodes) == 0 {
 			continue
 		}
-		net := buildNetwork(b, c)
+		net := new(network)
+		net.build(b, c)
 		fv := net.maxflow()
 		moved, ok := net.minCutMoves(b, c, 0, h.TotalNodeWeight())
 		if !ok {
@@ -125,7 +126,8 @@ func TestBruteForceMinCut(t *testing.T) {
 			continue
 		}
 		checked++
-		net := buildNetwork(b, c)
+		net := new(network)
+		net.build(b, c)
 		net.maxflow()
 		moved, ok := net.minCutMoves(b, c, 0, h.TotalNodeWeight())
 		if !ok {

@@ -3,6 +3,7 @@ package flow
 import (
 	"math"
 
+	"prop/internal/hypergraph"
 	"prop/internal/partition"
 )
 
@@ -28,42 +29,69 @@ type modeledNet struct {
 // super-source (side-0 exterior), vertex 1 the super-sink (side-1
 // exterior), vertices 2..2+|corridor| the corridor nodes in corridor
 // order, then two vertices per modeled net. Capacities are int64 at a
-// fixed-point scale (1 when every modeled cost is integral).
+// fixed-point scale (1 when every modeled cost is integral). Vertex u's
+// arcs are arcs[off[u]:off[u+1]], in one flat array.
 type network struct {
-	arcs  [][]arc
+	off   []int32
+	arcs  []arc
 	nets  []modeledNet
 	scale float64
 	nodeV int // corridor node i is vertex nodeV + i (== 2)
+
+	// Build scratch, kept with the buffers above across the rounds of one
+	// Refine call.
+	at   []int32 // per vertex: next arc slot to fill
+	seen []bool  // per net: met while scanning the corridor
 }
 
 type arc struct {
 	to  int32
-	rev int32 // index of the reverse arc in arcs[to]
+	rev int32 // index of the reverse arc in arcs
 	cap int64
 }
 
-func (g *network) addArc(u, v int32, c int64) {
-	g.arcs[u] = append(g.arcs[u], arc{to: v, rev: int32(len(g.arcs[v])), cap: c})
-	g.arcs[v] = append(g.arcs[v], arc{to: u, rev: int32(len(g.arcs[u]) - 1), cap: 0})
+// numVertices returns the network's vertex count.
+func (g *network) numVertices() int { return len(g.off) - 1 }
+
+// out returns vertex u's arcs.
+func (g *network) out(u int32) []arc { return g.arcs[g.off[u]:g.off[u+1]] }
+
+// addArc adds the arc u→v of capacity c and its zero-capacity reverse.
+// The counting pass only tallies both ends; the filling pass puts each arc
+// in the next free slot of its vertex, so every vertex lists its arcs in
+// the order they were added.
+func (g *network) addArc(fill bool, u, v int32, c int64) {
+	if !fill {
+		g.off[u+1]++
+		g.off[v+1]++
+		return
+	}
+	i, j := g.at[u], g.at[v]
+	g.at[u], g.at[v] = i+1, j+1
+	g.arcs[i] = arc{to: v, rev: j, cap: c}
+	g.arcs[j] = arc{to: u, rev: i, cap: 0}
 }
 
-// buildNetwork expands the corridor hypergraph into the flow network.
+// build expands the corridor hypergraph into g, reusing g's buffers.
 // Nets are discovered by scanning corridor nodes in order and their nets in
 // CSR order, so vertex numbering and arc order are deterministic. Nets with
 // pins on both exteriors are cut under every corridor assignment and are
 // left out as a constant; nets without corridor pins are untouchable and
 // never reached.
-func buildNetwork(b *partition.Bisection, c corridor) *network {
+func (g *network) build(b *partition.Bisection, c corridor) {
 	h := b.H
-	g := &network{scale: 1, nodeV: 2}
-	seen := make([]bool, h.NumNets())
+	g.scale, g.nodeV = 1, 2
+	g.nets = g.nets[:0]
+	if len(g.seen) < h.NumNets() {
+		g.seen = make([]bool, h.NumNets())
+	}
 	integral := true
 	for _, u := range c.nodes {
 		for _, e := range h.NetsOf(int(u)) {
-			if seen[e] {
+			if g.seen[e] {
 				continue
 			}
-			seen[e] = true
+			g.seen[e] = true
 			var ext0, ext1 bool
 			for _, v := range h.Net(int(e)) {
 				if c.pos[v] >= 0 {
@@ -84,6 +112,11 @@ func buildNetwork(b *partition.Bisection, c corridor) *network {
 			}
 		}
 	}
+	for _, u := range c.nodes {
+		for _, e := range h.NetsOf(int(u)) {
+			g.seen[e] = false
+		}
+	}
 	if !integral {
 		g.scale = costScale
 	}
@@ -92,23 +125,45 @@ func buildNetwork(b *partition.Bisection, c corridor) *network {
 		g.nets[j].in = base + int32(2*j)
 		g.nets[j].out = base + int32(2*j) + 1
 	}
-	g.arcs = make([][]arc, int(base)+2*len(g.nets))
+	nv := int(base) + 2*len(g.nets)
+	g.off = resize(g.off, nv+1)
+	clear(g.off)
+	g.addArcs(h, c, false)
+	for u := 0; u < nv; u++ {
+		g.off[u+1] += g.off[u]
+	}
+	g.arcs = resize(g.arcs, int(g.off[nv]))
+	g.at = resize(g.at, nv)
+	copy(g.at, g.off)
+	g.addArcs(h, c, true)
+}
+
+// addArcs adds every arc of the network in one fixed order: per modeled
+// net its bridge, then its exterior arcs, then its corridor pins' arcs.
+func (g *network) addArcs(h *hypergraph.Hypergraph, c corridor, fill bool) {
 	for j := range g.nets {
 		m := &g.nets[j]
 		capE := int64(h.NetCost(int(m.e))*g.scale + 0.5)
-		g.addArc(m.in, m.out, capE)
+		g.addArc(fill, m.in, m.out, capE)
 		if m.ext0 {
-			g.addArc(0, m.in, infCap)
+			g.addArc(fill, 0, m.in, infCap)
 		}
 		if m.ext1 {
-			g.addArc(m.out, 1, infCap)
+			g.addArc(fill, m.out, 1, infCap)
 		}
 		for _, v := range h.Net(int(m.e)) {
 			if i := c.pos[v]; i >= 0 {
-				g.addArc(int32(g.nodeV)+i, m.in, infCap)
-				g.addArc(m.out, int32(g.nodeV)+i, infCap)
+				g.addArc(fill, int32(g.nodeV)+i, m.in, infCap)
+				g.addArc(fill, m.out, int32(g.nodeV)+i, infCap)
 			}
 		}
 	}
-	return g
+}
+
+// resize returns s with length n, reallocating only past its capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

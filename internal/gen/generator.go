@@ -172,6 +172,7 @@ func Generate(p Params) (*hypergraph.Hypergraph, error) {
 	rho := p.MeanSpread / (p.MeanSpread + 1)
 	// Second, independent ordering for cross nets.
 	perm := rng.Perm(p.Nodes)
+	var permBuf []int // correlated nets' permutations, drawn in place
 
 	for i := 0; i < p.Nets; i++ {
 		q := sizes[i]
@@ -215,7 +216,8 @@ func Generate(p Params) (*hypergraph.Hypergraph, error) {
 			if keep > len(base) {
 				keep = len(base)
 			}
-			for _, bi := range rng.Perm(len(base))[:keep] {
+			permBuf = drawPerm(rng, permBuf, len(base))
+			for _, bi := range permBuf[:keep] {
 				u := base[bi]
 				if !seen[u] {
 					seen[u] = true
@@ -311,6 +313,22 @@ func containsInt(s []int, x int) bool {
 		}
 	}
 	return false
+}
+
+// drawPerm fills buf[:n] with the permutation rng.Perm(n) would return,
+// making the same Intn draws in the same order, so the generator's state
+// and every circuit stay as they were; buf grows only past its capacity.
+func drawPerm(rng *rand.Rand, buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	m := buf[:n]
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }
 
 // MustGenerate is Generate that panics on error, for fixtures.

@@ -45,6 +45,9 @@ type Loop struct {
 	// per-move method-value or closure here is a per-move allocation.
 	key  func(u int) float64
 	feas func(u int) bool
+	// feasChecks counts the current pass's feas calls, the balance checks
+	// its best-first selections made.
+	feasChecks int
 }
 
 // Algo implements PassRunner.
@@ -53,9 +56,10 @@ func (l *Loop) Algo() string { return l.Pol.Algo() }
 // Cut implements PassRunner.
 func (l *Loop) Cut() float64 { return l.B.CutCost() }
 
-// FillPass forwards trace-event decoration to the policy when it
-// implements PassFiller.
+// FillPass sets the pass's feasibility checks and forwards trace-event
+// decoration to the policy when it implements PassFiller.
 func (l *Loop) FillPass(ev obs.Pass) obs.Pass {
+	ev.FeasChecks = l.feasChecks
 	if f, ok := l.Pol.(PassFiller); ok {
 		return f.FillPass(ev)
 	}
@@ -66,10 +70,14 @@ func (l *Loop) FillPass(ev obs.Pass) obs.Pass {
 func (l *Loop) RunPass() (float64, int, int) {
 	side := l.Pol.BeginPass()
 	l.log.Reset()
+	l.feasChecks = 0
 	traceMoves := l.Tracer.MoveEnabled()
 	if l.key == nil {
 		l.key = l.Pol.Key
-		l.feas = func(u int) bool { return l.B.CanMove(u, l.Bal) }
+		l.feas = func(u int) bool {
+			l.feasChecks++
+			return l.B.CanMove(u, l.Bal)
+		}
 	}
 
 	for side[0].Len()+side[1].Len() > 0 {

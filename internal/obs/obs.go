@@ -29,7 +29,7 @@
 //	pass         algo, id?, pass, cut, gmax, moves, kept, locked,
 //	             dirty_nets, swept, refine_iters, sweep_wall_us,
 //	             refreshes, gain_evals, stamp_skips, gain_nets,
-//	             gain_terms, dur_us
+//	             gain_terms, feas_checks, dur_us
 //	move         pass, node, gain
 //	flow         id?, round, boundary, corridor, nets, flow,
 //	             cut_before, cut_after, adopted (0/1), dur_us
@@ -261,6 +261,7 @@ type Pass struct {
 	StampSkips int // refreshes skipped because none of the node's nets changed
 	GainNets   int // nets walked by the gain evaluations
 	GainTerms  int // per-net gain terms recomputed; GainNets without a term cache
+	FeasChecks int // balance checks the best-first selections made
 
 	Dur time.Duration // wall-clock time of the whole pass
 }
@@ -407,6 +408,7 @@ func (t *Tracer) EmitPass(e Pass) {
 	b = appendInt(b, "stamp_skips", int64(e.StampSkips))
 	b = appendInt(b, "gain_nets", int64(e.GainNets))
 	b = appendInt(b, "gain_terms", int64(e.GainTerms))
+	b = appendInt(b, "feas_checks", int64(e.FeasChecks))
 	b = appendInt(b, "dur_us", e.Dur.Microseconds())
 	t.close(b)
 	t.mu.Unlock()

@@ -51,6 +51,8 @@ type event struct {
 	StampSkips int64 `json:"stamp_skips"`
 	GainNets   int64 `json:"gain_nets"`
 	GainTerms  int64 `json:"gain_terms"`
+	// pass (selection effort)
+	FeasChecks int64 `json:"feas_checks"`
 
 	// flow
 	Adopted   int     `json:"adopted"`
@@ -109,7 +111,9 @@ type PassPoint struct {
 // effort: refreshes requested after moves, gain evaluations (refine sweeps
 // plus refreshes computed), refreshes the change stamps skipped, the nets
 // the evaluations walked and the per-net terms they recomputed (fewer
-// than the nets only where the term cache serves).
+// than the nets only where the term cache serves). FeasChecks counts the
+// balance checks the best-first selections of PROP, FM and LA made; near
+// one per move, selection stops at each side's first entries.
 type MoveStats struct {
 	Passes        int     `json:"passes"`
 	Moves         int64   `json:"moves"`
@@ -122,6 +126,8 @@ type MoveStats struct {
 	SkipRatePct   float64 `json:"skip_rate_pct,omitempty"` // stamp_skips / refreshes
 	GainNets      int64   `json:"gain_nets,omitempty"`
 	GainTerms     int64   `json:"gain_terms,omitempty"`
+	FeasChecks    int64   `json:"feas_checks,omitempty"`
+	FeasPerMove   float64 `json:"feas_per_move,omitempty"` // feas_checks / moves
 }
 
 // FlowStats aggregates the flow polisher's round events.
@@ -279,6 +285,7 @@ func Read(r io.Reader) (*RunReport, error) {
 			rep.Moves.StampSkips += e.StampSkips
 			rep.Moves.GainNets += e.GainNets
 			rep.Moves.GainTerms += e.GainTerms
+			rep.Moves.FeasChecks += e.FeasChecks
 			pa := passes[e.Pass]
 			if pa == nil {
 				pa = &passAgg{best: e.Cut}
@@ -349,6 +356,9 @@ func Read(r io.Reader) (*RunReport, error) {
 	}
 	if rep.Moves.Refreshes > 0 {
 		rep.Moves.SkipRatePct = 100 * float64(rep.Moves.StampSkips) / float64(rep.Moves.Refreshes)
+	}
+	if rep.Moves.Moves > 0 {
+		rep.Moves.FeasPerMove = float64(rep.Moves.FeasChecks) / float64(rep.Moves.Moves)
 	}
 	if f := rep.Flow; f != nil && f.Rounds > 0 {
 		f.AdoptionRatePct = 100 * float64(f.Adopted) / float64(f.Rounds)
@@ -522,11 +532,19 @@ func WriteText(w io.Writer, rep *RunReport, topN int) error {
 	if rep.Moves.Passes > 0 {
 		fmt.Fprintf(bw, "\nmoves: %d passes, %d proposed, %d kept (%.1f%% accept), %d locked\n",
 			rep.Moves.Passes, rep.Moves.Moves, rep.Moves.Kept, rep.Moves.AcceptRatePct, rep.Moves.Locked)
-		if m := rep.Moves; m.Refreshes > 0 {
-			fmt.Fprintf(bw, "gain effort: %d evaluations, %d refreshes, %d skipped by change stamps (%.1f%%)",
-				m.GainEvals, m.Refreshes, m.StampSkips, m.SkipRatePct)
-			if m.GainNets > 0 {
-				fmt.Fprintf(bw, "; %d nets walked, %d terms recomputed", m.GainNets, m.GainTerms)
+		if m := rep.Moves; m.Refreshes > 0 || m.FeasChecks > 0 {
+			sep := " "
+			fmt.Fprint(bw, "gain effort:")
+			if m.Refreshes > 0 {
+				fmt.Fprintf(bw, " %d evaluations, %d refreshes, %d skipped by change stamps (%.1f%%)",
+					m.GainEvals, m.Refreshes, m.StampSkips, m.SkipRatePct)
+				if m.GainNets > 0 {
+					fmt.Fprintf(bw, "; %d nets walked, %d terms recomputed", m.GainNets, m.GainTerms)
+				}
+				sep = "; "
+			}
+			if m.FeasChecks > 0 {
+				fmt.Fprintf(bw, "%s%d feasibility checks (%.2f per move)", sep, m.FeasChecks, m.FeasPerMove)
 			}
 			fmt.Fprintln(bw)
 		}

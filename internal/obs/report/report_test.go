@@ -20,16 +20,16 @@ const goldenTrace = `{"ts_us":0,"ev":"run_start","run":0,"id":"g"}
 {"ts_us":81,"ev":"phase","run":0,"name":"coarsen","depth":1,"level":1,"wall_us":30}
 {"ts_us":82,"ev":"phase_start","run":0,"name":"initial","depth":1,"level":0}
 {"ts_us":100,"ev":"phase_start","run":0,"name":"prop","depth":2,"level":0}
-{"ts_us":150,"ev":"pass","run":0,"algo":"prop","pass":0,"cut":600,"gmax":4,"moves":100,"kept":60,"locked":100,"refreshes":300,"gain_evals":900,"stamp_skips":210,"gain_nets":2500,"gain_terms":800,"dur_us":40}
-{"ts_us":190,"ev":"pass","run":0,"algo":"prop","pass":1,"cut":520,"gmax":2,"moves":80,"kept":30,"locked":80,"refreshes":100,"gain_evals":700,"stamp_skips":90,"gain_nets":2100,"gain_terms":700,"dur_us":35}
+{"ts_us":150,"ev":"pass","run":0,"algo":"prop","pass":0,"cut":600,"gmax":4,"moves":100,"kept":60,"locked":100,"refreshes":300,"gain_evals":900,"stamp_skips":210,"gain_nets":2500,"gain_terms":800,"feas_checks":120,"dur_us":40}
+{"ts_us":190,"ev":"pass","run":0,"algo":"prop","pass":1,"cut":520,"gmax":2,"moves":80,"kept":30,"locked":80,"refreshes":100,"gain_evals":700,"stamp_skips":90,"gain_nets":2100,"gain_terms":700,"feas_checks":90,"dur_us":35}
 {"ts_us":200,"ev":"phase","run":0,"name":"prop","depth":2,"level":0,"wall_us":100}
 {"ts_us":201,"ev":"phase","run":0,"name":"initial","depth":1,"level":0,"wall_us":119}
 {"ts_us":400,"ev":"phase","run":0,"name":"multilevel","depth":0,"level":0,"wall_us":399}
 {"ts_us":500,"ev":"run_end","run":0,"id":"g","dur_us":500}
 {"ts_us":510,"ev":"run_start","run":1,"id":"g"}
 {"ts_us":511,"ev":"phase_start","run":1,"name":"multilevel","depth":0,"level":0}
-{"ts_us":600,"ev":"pass","run":1,"algo":"prop","pass":0,"cut":580,"gmax":3,"moves":100,"kept":40,"locked":100,"dur_us":50}
-{"ts_us":700,"ev":"pass","run":1,"algo":"prop","pass":1,"cut":550,"gmax":1,"moves":60,"kept":10,"locked":60,"dur_us":30}
+{"ts_us":600,"ev":"pass","run":1,"algo":"prop","pass":0,"cut":580,"gmax":3,"moves":100,"kept":40,"locked":100,"feas_checks":130,"dur_us":50}
+{"ts_us":700,"ev":"pass","run":1,"algo":"prop","pass":1,"cut":550,"gmax":1,"moves":60,"kept":10,"locked":60,"feas_checks":70,"dur_us":30}
 {"ts_us":890,"ev":"phase","run":1,"name":"multilevel","depth":0,"level":0,"wall_us":379}
 {"ts_us":900,"ev":"flow","run":1,"round":0,"boundary":30,"corridor":200,"nets":400,"flow":12,"cut_before":550,"cut_after":540,"adopted":1,"dur_us":80}
 {"ts_us":980,"ev":"flow","run":1,"round":1,"boundary":28,"corridor":190,"nets":380,"flow":12,"cut_before":540,"cut_after":540,"adopted":0,"dur_us":70}
@@ -124,6 +124,10 @@ func TestMoveRoundFlowRates(t *testing.T) {
 		m.GainNets != 4600 || m.GainTerms != 1500 {
 		t.Errorf("gain effort = %+v", m)
 	}
+	// Every run's passes carry the selections' feasibility checks.
+	if m.FeasChecks != 410 || math.Abs(m.FeasPerMove-410.0/340.0) > 1e-9 {
+		t.Errorf("selection effort = %+v", m)
+	}
 	f := rep.Flow
 	if f == nil || f.Rounds != 2 || f.Adopted != 1 || f.AdoptionRatePct != 50 || f.CutImprovement != 10 {
 		t.Fatalf("flow = %+v", f)
@@ -158,7 +162,7 @@ func TestWriteTextAndJSON(t *testing.T) {
 		"multilevel", "coarsen", "top 4 phases",
 		"convergence", "best-so-far",
 		"moves: 4 passes",
-		"gain effort: 1600 evaluations, 400 refreshes, 300 skipped by change stamps (75.0%); 4600 nets walked, 1500 terms recomputed",
+		"gain effort: 1600 evaluations, 400 refreshes, 300 skipped by change stamps (75.0%); 4600 nets walked, 1500 terms recomputed; 410 feasibility checks (1.21 per move)",
 		"flow: 2 rounds, 1 adopted (50.0%)",
 	} {
 		if !strings.Contains(text, want) {
@@ -169,7 +173,7 @@ func TestWriteTextAndJSON(t *testing.T) {
 	if err := WriteJSON(&sb, rep); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"phase_coverage_pct"`, `"best_so_far"`, `"adoption_rate_pct"`, `"gain_terms": 1500`} {
+	for _, want := range []string{`"phase_coverage_pct"`, `"best_so_far"`, `"adoption_rate_pct"`, `"gain_terms": 1500`, `"feas_checks": 410`} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("json report missing %q", want)
 		}
